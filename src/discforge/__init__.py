@@ -11,7 +11,6 @@ from .config import (
     cayley,
     dual_of,
     gale_dual,
-    gale_index,
     is_homogeneous,
     is_pyramid,
     segment,
@@ -85,7 +84,6 @@ __all__ = [
     "dual_variety_dim",
     "extend_plus_minus",
     "gale_dual",
-    "gale_index",
     "glue_resultant",
     "horn_eval",
     "horn_implicitize_rank2",

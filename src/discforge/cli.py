@@ -30,6 +30,7 @@ from .defect import (
     dual_variety_dim,
     is_dual_defect,
     rho_bound,
+    size_bound,
 )
 from .disc import (
     check_restriction_grouping,
@@ -66,6 +67,8 @@ def _load_matrix(args) -> IntMatrix:
         data = data["matrix"]
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ParseError("matrix must be a list of rows")
+    if not data or not data[0]:
+        raise ParseError("matrix must have at least one row and one column")
     args._loaded_matrix = IntMatrix(data)
     return args._loaded_matrix
 
@@ -375,9 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.size_bound is not None:
-        os.environ[SIZE_BOUND_ENV] = str(args.size_bound)
     try:
+        if args.size_bound is not None:
+            if args.size_bound < 0:
+                raise ParseError(f"--size-bound must be non-negative, got {args.size_bound}")
+            os.environ[SIZE_BOUND_ENV] = str(args.size_bound)
+        # validated up front: `defect` reports dual_dim as unknown on
+        # errors, which would hide a malformed environment value
+        size_bound()
         return args.func(args)
     except DiscforgeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

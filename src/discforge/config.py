@@ -247,11 +247,6 @@ def cayley(parts) -> PointConfiguration:
     return PointConfiguration(IntMatrix(rows))
 
 
-def gale_index(cfg: GaleConfiguration) -> int:
-    """Index of the column lattice of B in its saturation."""
-    return cfg.index
-
-
 __all__ = [
     "PointConfiguration",
     "GaleConfiguration",
@@ -263,7 +258,6 @@ __all__ = [
     "is_pyramid",
     "segment",
     "cayley",
-    "gale_index",
     "IntMatrix",
     "LatticeBasis",
 ]

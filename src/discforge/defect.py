@@ -24,6 +24,7 @@ from .errors import (
     DegenerateDual,
     NoChain,
     NotHomogeneous,
+    ParseError,
     PyramidInput,
     SizeBound,
 )
@@ -40,13 +41,22 @@ DEFAULT_SIZE_BOUND = 12
 
 
 def size_bound() -> int:
+    """The support-enumeration bound: DISCFORGE_SIZE_BOUND, default 12.
+
+    A value that is not a non-negative integer raises ParseError.
+    """
     raw = os.environ.get(SIZE_BOUND_ENV)
     if raw is None:
         return DEFAULT_SIZE_BOUND
     try:
-        return int(raw)
+        bound = int(raw)
+        if bound < 0:
+            raise ValueError
     except ValueError:
-        return DEFAULT_SIZE_BOUND
+        raise ParseError(
+            f"{SIZE_BOUND_ENV} must be a non-negative integer, got {raw!r}"
+        ) from None
+    return bound
 
 
 @dataclass(frozen=True)
@@ -55,7 +65,6 @@ class DefectReport:
     method: str
     witness: dict = field(default_factory=dict)
     dual_dim: int | None = None
-    checks_agreed: bool = True
 
 
 def _validate(cfg: GaleConfiguration) -> None:

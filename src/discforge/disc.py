@@ -300,49 +300,11 @@ def contract(f: SparsePolynomial) -> SparsePolynomial:
     return f.specialize(f.n - 1, -1).specialize(f.n - 2, 1).normalize()
 
 
-def _solve_weights(betas, target: int) -> tuple[int, ...]:
-    """Integer mu with sum mu_j beta_j = target, via iterated gcd."""
-    g = 0
-    combo = [0] * len(betas)
-    for j, b in enumerate(betas):
-        if b == 0:
-            continue
-        if g == 0:
-            g = abs(b)
-            combo = [0] * len(betas)
-            combo[j] = 1 if b > 0 else -1
-            continue
-        old, s, t = _xgcd(g, b)
-        combo = [s * x for x in combo]
-        combo[j] += t
-        g = old
-    if g == 0 or target % g:
-        raise NonPrimitive(
-            f"class content {g} does not divide the required weight {target}"
-        )
-    scale = target // g
-    return tuple(x * scale for x in combo)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    # returns (g, s, t) with s*a + t*b = g > 0
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if a < 0:
-        a, s0, t0 = -a, -s0, -t0
-    return a, s0, t0
-
-
 def glue_resultant(
     d1: SparsePolynomial,
     d2: SparsePolynomial,
     cfg: GaleConfiguration,
     split,
-    q_override: int | None = None,
 ) -> SparsePolynomial:
     """Merge factor discriminants across a collinear split by a resultant.
 
@@ -351,8 +313,7 @@ def glue_resultant(
     homogeneous collinear set.  d1 and d2 live on the respective parts'
     variables.  The auxiliary scaling u^gamma / u^mu is eliminated by a
     Sylvester resultant; shifts are chosen minimal so no extraneous factor
-    appears.  q_override forces a multiple of the minimal weight and
-    exists for testing the power behaviour only.
+    appears.
     """
     idx1, idx2 = tuple(split[0]), tuple(split[1])
     n = cfg.n
@@ -376,14 +337,14 @@ def glue_resultant(
     pivot = next(k for k, x in enumerate(w) if x)
     betas = [r[pivot] // w[pivot] for r in rows2]
     q = smallest_multiplier(m1, w)
-    if q_override is not None:
-        if q_override <= 0:
-            raise ValueError("q_override must be positive")
-        q = q_override
     gamma = integer_solve(m1, tuple(q * x for x in w))
     if gamma is None:
         raise InconsistentSplit(f"{q} times the direction is not an integer row combination")
-    mu = _solve_weights(betas, -q)
+    mu = integer_solve(IntMatrix([[b] for b in betas]), (-q,))
+    if mu is None:
+        raise NonPrimitive(
+            f"class content {gcd(*betas)} does not divide the required weight {-q}"
+        )
     u1 = scaled_substitute(d1, gamma)
     u2 = scaled_substitute(d2, mu)
     lift1 = UniPoly(n, [c.embed(n, idx1) for c in u1.coeffs])
@@ -394,7 +355,7 @@ def glue_resultant(
 # -- full pipeline -------------------------------------------------------
 
 
-def discriminant(cfg, trace: bool = False) -> DiscriminantResult:
+def discriminant(cfg) -> DiscriminantResult:
     """Normalized discriminant of a point or vector configuration.
 
     Accepts a homogeneous PointConfiguration (columns are points) or its

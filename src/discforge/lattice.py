@@ -84,52 +84,56 @@ class LatticeBasis:
         return IntMatrix(self.vectors)
 
 
-def rank(m: IntMatrix) -> int:
-    """Rank via fraction-free Bareiss elimination."""
-    a = [list(r) for r in m.data]
-    nr, nc = m.rows, m.cols
+def bareiss(rows) -> tuple[int, int, object]:
+    """Fraction-free Gaussian elimination over an exact integral domain.
+
+    Works on ints, and on any ring element type with ``*``, ``-``, an
+    exact ``//`` and truth testing for nonzero.  Pivots are the first
+    nonzero entry of each column at or below the current row.  Returns
+    (rank, sign, last pivot): sign is (-1)^(row swaps), and the last
+    pivot is the minor on the pivot rows and columns, 1 when the rank is
+    0.  For a square matrix of full rank, sign * last pivot is the
+    determinant.
+    """
+    a = [list(r) for r in rows]
+    nr = len(a)
+    nc = len(a[0]) if a else 0
     r = 0
+    sign = 1
     prev = 1
     for c in range(nc):
         if r == nr:
             break
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[c]
+        # column c below the pivot is never read again, so it is not zeroed
         for i in range(r + 1, nr):
+            row = a[i]
+            f = row[c]
             for j in range(c + 1, nc):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
+                row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
         r += 1
-    return r
+    return r, sign, prev
+
+
+def rank(m: IntMatrix) -> int:
+    """Rank via fraction-free Bareiss elimination."""
+    return bareiss(m.data)[0]
 
 
 def det(m: IntMatrix) -> int:
     """Determinant of a square matrix, fraction-free."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(r) for r in m.data]
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                a[i][j] = (a[c][c] * a[i][j] - a[i][c] * a[c][j]) // prev
-            a[i][c] = 0
-        prev = a[c][c]
-    return sign * a[n - 1][n - 1]
+    r, sign, last = bareiss(m.data)
+    return sign * last if r == m.rows else 0
 
 
 def row_hermite_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

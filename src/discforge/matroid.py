@@ -80,13 +80,6 @@ def collinear_classes(cfg: GaleConfiguration) -> list[tuple[int, ...]]:
     return sorted((tuple(v) for v in buckets.values()), key=lambda t: t[0])
 
 
-def splitting_lines(cfg: GaleConfiguration) -> list[tuple[int, ...]]:
-    """Collinear classes whose member sum vanishes."""
-    return [
-        cls for cls in collinear_classes(cfg) if not any(cfg.sigma(cls))
-    ]
-
-
 def reduce(cfg: GaleConfiguration) -> ReduceResult:
     """Drop splitting classes and zero rows; merge each remaining class
     into its member sum.  Output rows are ordered by smallest original
@@ -111,12 +104,6 @@ def reduce(cfg: GaleConfiguration) -> ReduceResult:
         removed_splitting=tuple(removed),
         removed_zero=cfg.zero_rows(),
     )
-
-
-def is_degenerate(cfg: GaleConfiguration) -> bool:
-    """Does reduction drop the rank?"""
-    red = reduce(cfg).config
-    return rank(red.matrix) < rank(cfg.matrix)
 
 
 def _span_rank(cfg: GaleConfiguration, indices) -> int:

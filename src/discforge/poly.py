@@ -19,6 +19,7 @@ from .errors import (
     ZeroCoordinate,
     ZeroSubstitution,
 )
+from .lattice import bareiss
 
 
 def _dp_key(e: tuple[int, ...]):
@@ -71,6 +72,9 @@ class SparsePolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
@@ -141,6 +145,12 @@ class SparsePolynomial:
         return SparsePolynomial(self.n, out)
 
     __rmul__ = __mul__
+
+    def __floordiv__(self, other) -> "SparsePolynomial":
+        """Exact quotient; raises ArithmeticError on a nonzero remainder."""
+        if isinstance(other, int):
+            other = SparsePolynomial.constant(self.n, other)
+        return exact_quotient(self, other)
 
     def __pow__(self, k: int) -> "SparsePolynomial":
         if k < 0:
@@ -325,7 +335,9 @@ def poly_from_json_dict(d: dict) -> tuple[SparsePolynomial, list[str]]:
 def divides(f: SparsePolynomial, g: SparsePolynomial) -> bool:
     """Does f divide g up to monomial and constant factors?
 
-    Both are normalized first, then tested by exact long division over Q.
+    Both are normalized first, then tested by exact division.  Normalized
+    polynomials are primitive, so by Gauss's lemma a quotient over Q is
+    already integral.
     """
     if f.n != g.n:
         raise ValueError("ambient mismatch")
@@ -333,25 +345,10 @@ def divides(f: SparsePolynomial, g: SparsePolynomial) -> bool:
     g = g.normalize()
     if f.is_zero():
         return g.is_zero()
-    if g.is_zero():
-        return True
-    lead_e, lead_c = f.leading()
-    rem: dict[tuple[int, ...], Fraction] = {
-        e: Fraction(c) for e, c in g.terms.items()
-    }
-    while rem:
-        re = max(rem, key=_dp_key)
-        diff = tuple(a - b for a, b in zip(re, lead_e))
-        if any(d < 0 for d in diff):
-            return False
-        coeff = rem[re] / lead_c
-        for e, c in f.terms.items():
-            tgt = tuple(a + b for a, b in zip(e, diff))
-            val = rem.get(tgt, Fraction(0)) - coeff * c
-            if val:
-                rem[tgt] = val
-            else:
-                rem.pop(tgt, None)
+    try:
+        exact_quotient(g, f)
+    except ArithmeticError:
+        return False
     return True
 
 
@@ -473,31 +470,6 @@ def scaled_substitute(
     )
 
 
-def _poly_det(mat: list[list[SparsePolynomial]], n: int) -> SparsePolynomial:
-    """Fraction-free Bareiss determinant over the polynomial ring."""
-    size = len(mat)
-    if size == 0:
-        return SparsePolynomial.constant(n, 1)
-    a = [row[:] for row in mat]
-    sign = 1
-    prev = SparsePolynomial.constant(n, 1)
-    for c in range(size - 1):
-        piv = next((i for i in range(c, size) if not a[i][c].is_zero()), None)
-        if piv is None:
-            return SparsePolynomial.zero(n)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        for i in range(c + 1, size):
-            for j in range(c + 1, size):
-                num = a[c][c] * a[i][j] - a[i][c] * a[c][j]
-                a[i][j] = exact_quotient(num, prev)
-            a[i][c] = SparsePolynomial.zero(n)
-        prev = a[c][c]
-    out = a[size - 1][size - 1]
-    return -out if sign < 0 else out
-
-
 def resultant_u(f: UniPoly, g: UniPoly) -> SparsePolynomial:
     """Sylvester resultant eliminating u.
 
@@ -544,7 +516,10 @@ def resultant_u(f: UniPoly, g: UniPoly) -> SparsePolynomial:
         for k in range(dg + 1):
             row[i + k] = g.coeff(dg - k)
         rows.append(row)
-    return _poly_det(rows, n)
+    r, sign, last = bareiss(rows)
+    if r < size:
+        return zero
+    return -last if sign < 0 else last
 
 
 # -- Newton polytope vertices --------------------------------------------

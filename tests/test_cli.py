@@ -253,6 +253,10 @@ def test_parse_errors(capsys):
     assert rc == 2
     rc, _, err = run(capsys, ["gale", "--file", "/nonexistent/m.json"])
     assert rc == 2
+    for empty in ("[]", "[[]]"):
+        rc, out, err = run(capsys, ["discriminant", "--matrix", empty])
+        assert rc == 2 and out == ""
+        assert "ParseError" in err
 
 
 def test_matrix_from_file(tmp_path, capsys):
@@ -292,3 +296,18 @@ def test_size_bound_env(monkeypatch, capsys):
     rc, _, err = run(capsys, ["dualdim", "--matrix", CUBIC])
     assert rc == 3
     assert "SizeBound" in err
+
+
+def test_size_bound_rejects_negative_and_malformed(monkeypatch, capsys):
+    monkeypatch.delenv(SIZE_BOUND_ENV, raising=False)
+    rc, out, err = run(
+        capsys, ["--size-bound", "-1", "gale", "--matrix", "[[1,1,1],[0,1,2]]"]
+    )
+    assert rc == 2 and out == ""
+    assert "size-bound" in err and "Traceback" not in err
+    # a malformed environment value fails even where the error would
+    # otherwise be reported as an unknown dual dimension
+    monkeypatch.setenv(SIZE_BOUND_ENV, "junk")
+    rc, out, err = run(capsys, ["defect", "--matrix", CUBIC])
+    assert rc == 2 and out == ""
+    assert SIZE_BOUND_ENV in err

@@ -6,7 +6,6 @@ from discforge.config import (
     cayley,
     dual_of,
     gale_dual,
-    gale_index,
     is_homogeneous,
     is_pyramid,
     segment,
@@ -122,11 +121,6 @@ def test_cayley_mixed_lengths():
     assert cfg.n == 5 and cfg.d == 3
     with pytest.raises(ValueError):
         cayley([])
-
-
-def test_gale_index_helper():
-    assert gale_index(GaleConfiguration([[1], [3], [-2], [-2]])) == 1
-    assert gale_index(GaleConfiguration([[2], [-2]])) == 2
 
 
 def test_labels_flow_through_duality():

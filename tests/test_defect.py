@@ -24,6 +24,7 @@ from discforge.defect import (
 from discforge.errors import (
     DegenerateDual,
     NotHomogeneous,
+    ParseError,
     PyramidInput,
     SizeBound,
 )
@@ -138,8 +139,10 @@ def test_size_bound_env(monkeypatch):
     assert size_bound() == DEFAULT_SIZE_BOUND == 12
     monkeypatch.setenv(SIZE_BOUND_ENV, "7")
     assert size_bound() == 7
-    monkeypatch.setenv(SIZE_BOUND_ENV, "junk")
-    assert size_bound() == DEFAULT_SIZE_BOUND
+    for bad in ("junk", "-1"):
+        monkeypatch.setenv(SIZE_BOUND_ENV, bad)
+        with pytest.raises(ParseError):
+            size_bound()
 
 
 def test_dual_dim_errors():

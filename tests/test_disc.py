@@ -186,25 +186,6 @@ def test_seven_point_two_paths_agree(seven_point_b):
     assert pullback(f, seven_point_b) == discriminant(seven_point_b).poly
 
 
-def test_glue_q_override_squares(seven_point_b):
-    sharp = extend_plus_minus(seven_point_b, (2, 0))
-    idx1 = (0, 1, 2, 3, 7)
-    idx2 = (4, 5, 6, 8)
-    inner = discriminant(
-        GaleConfiguration(
-            [sharp.row(i) for i in idx1],
-            labels=tuple(sharp.labels[i] for i in idx1),
-        )
-    )
-    d2 = _codim1_raw([1, 3, -2, -2])
-    g1 = glue_resultant(inner.poly, d2, sharp, (idx1, idx2))
-    assert contract(g1) == discriminant(seven_point_b).poly
-    g2 = glue_resultant(inner.poly, d2, sharp, (idx1, idx2), q_override=2)
-    assert g2 == (g1 * g1).normalize()
-    with pytest.raises(ValueError):
-        glue_resultant(inner.poly, d2, sharp, (idx1, idx2), q_override=0)
-
-
 def test_glue_split_validation(seven_point_b):
     sharp = extend_plus_minus(seven_point_b, (2, 0))
     one = SparsePolynomial.constant(5, 1)

@@ -33,6 +33,16 @@ def test_rank_and_det():
     assert det(IntMatrix([[3, 1], [1, 2]])) == 5
     assert det(IntMatrix([[0, 1], [1, 0]])) == -1
     assert det(IntMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]])) == 30
+    # singular, with the zero pivot in the last column
+    assert det(IntMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 0
+    # singular, with no pivot in the first column
+    assert det(IntMatrix([[0, 1, 2], [0, 3, 4], [0, 5, 6]])) == 0
+    # elimination swaps rows at each of the first three columns
+    assert det(IntMatrix([[0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 5], [7, 1, 1, 1]])) == -210
+    assert det(IntMatrix([])) == 1
+    # a zero pivot forces a swap, and a later column has no pivot
+    assert rank(IntMatrix([[0, 2, 4, 1], [3, 1, 2, 0], [6, 2, 4, 0]])) == 2
+    assert rank(IntMatrix([[0, 0], [0, 5], [0, 7]])) == 1
 
 
 def test_row_hermite_transform_reconstructs():

@@ -16,11 +16,9 @@ from discforge.matroid import (
     decompose,
     find_nonsplitting_flag,
     flats_of_rank,
-    is_degenerate,
     is_nonsplitting_flag,
     reduce,
     restrict_to_span,
-    splitting_lines,
 )
 
 
@@ -39,17 +37,6 @@ def test_collinear_classes_skip_zero_rows():
     b = GaleConfiguration([[1, 2], [0, 0], [-2, -4]])
     assert collinear_classes(b) == [(0, 2)]
     assert b.zero_rows() == (1,)
-
-
-def test_splitting_lines():
-    b = GaleConfiguration(
-        [[1, 0], [-2, 1], [1, -2], [0, 1], [1, -1], [-1, 1]]
-    )
-    assert splitting_lines(b) == [(4, 5)]
-
-
-def test_splitting_lines_none(seven_point_b):
-    assert splitting_lines(seven_point_b) == []
 
 
 def test_reduce_merges_collinear_class(seven_point_b):
@@ -87,19 +74,6 @@ def test_reduce_drops_zero_rows():
     red = reduce(b)
     assert red.config.matrix.to_lists() == [[1, 0], [0, 1], [-1, -1]]
     assert red.removed_zero == (3,)
-
-
-def test_is_degenerate():
-    assert is_degenerate(
-        GaleConfiguration([[1, 0], [-1, 0], [0, 1], [0, -1]])
-    )
-    assert not is_degenerate(
-        GaleConfiguration([[1, 0], [-2, 1], [1, -2], [0, 1]])
-    )
-
-
-def test_is_degenerate_seven_point(seven_point_b):
-    assert not is_degenerate(seven_point_b)
 
 
 def test_closure_line(seven_point_b):

@@ -127,6 +127,9 @@ def test_divides():
     assert not divides(x + y, x * x + y * y)
     # acts up to monomial and constant factors
     assert divides(2 * f, g.shift((3, 1)))
+    zero = SparsePolynomial.zero(2)
+    assert divides(f, zero) and divides(zero, zero)
+    assert not divides(zero, f)
 
 
 def test_exact_quotient():
@@ -136,6 +139,12 @@ def test_exact_quotient():
     assert exact_quotient(prod, x + y) == x - y
     with pytest.raises(ArithmeticError):
         exact_quotient(x * x + y * y, x + y)
+    # the ring operations the shared Bareiss elimination relies on
+    assert prod // (x + y) == x - y
+    assert (2 * prod) // 2 == prod
+    with pytest.raises(ArithmeticError):
+        (x + y) // 2
+    assert x and not SparsePolynomial.zero(2)
 
 
 def test_scaled_substitute_auto_shift():
