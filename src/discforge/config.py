@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .errors import (
     DegenerateDual,
+    DiscforgeError,
     DuplicatePoint,
     NotHomogeneous,
     ParseError,
@@ -201,7 +202,7 @@ def standard_form(cfg: PointConfiguration) -> PointConfiguration:
     ones = (1,) * cfg.n
     combo = integer_solve(h, ones)
     if combo is None or combo[0] != 1:
-        raise AssertionError("all-ones vector must load the first Hermite row once")
+        raise DiscforgeError("all-ones vector must load the first Hermite row once")
     rows = [ones] + [h.row(i) for i in range(1, h.rows)]
     return PointConfiguration(IntMatrix(rows), labels=cfg.labels)
 

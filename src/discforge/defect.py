@@ -9,6 +9,7 @@ n - 2.  The dimension itself is evaluated through support chains.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -22,13 +23,14 @@ from .config import (
 )
 from .errors import (
     DegenerateDual,
+    DiscforgeError,
     NoChain,
     NotHomogeneous,
     ParseError,
     PyramidInput,
     SizeBound,
 )
-from .lattice import IntMatrix, rank
+from .lattice import IntMatrix, echelon_extend, rank
 from .matroid import (
     find_nonsplitting_flag,
     flats_of_rank,
@@ -139,7 +141,7 @@ def is_dual_defect(cfg: GaleConfiguration) -> DefectReport:
     if m in (2, 3):
         flag = find_nonsplitting_flag(cfg, m - 1)
         if flag is None:
-            raise AssertionError(
+            raise DiscforgeError(
                 "non-degenerate configuration of codimension 2 or 3 must carry a flag"
             )
         return DefectReport(
@@ -162,7 +164,7 @@ def is_dual_defect(cfg: GaleConfiguration) -> DefectReport:
             )
         flag = find_nonsplitting_flag(cfg, 3)
         if flag is None:
-            raise AssertionError(
+            raise DiscforgeError(
                 "codimension-4 configuration without plane split must carry a flag"
             )
         return DefectReport(
@@ -176,7 +178,7 @@ def is_dual_defect(cfg: GaleConfiguration) -> DefectReport:
             witness={"kind": "no-nonsplitting-flag", "length": m - 1},
         )
     if not is_nonsplitting_flag(cfg, flag):
-        raise AssertionError("flag search returned an invalid witness")
+        raise DiscforgeError("flag search returned an invalid witness")
     return DefectReport(
         defect=False, method="flag-search", witness=_flag_witness(cfg, flag)
     )
@@ -258,33 +260,29 @@ def dual_variety_dim(cfg: PointConfiguration) -> int:
         raise PyramidInput("pyramids have degenerate duals; no dimension computed")
     lat = support_lattice(cfg)
     m = lat.m
-    at = cfg.matrix.transpose()
-
-    def chain_rank(chain) -> int:
-        rows = [
-            at.row(i) + tuple(1 if i in s else 0 for s in chain)
-            for i in range(cfg.n)
-        ]
-        return rank(IntMatrix(rows))
-
     if m == 1:
         return rank(cfg.matrix) - 1
-    starts = [e for e in lat.elements if lat.height[e] == 1]
+    # column basis of (A^T | 1_s1 | ...), one reduction per chain step;
+    # its n - 1 = rank(A) + m - 1 columns bound every chain's rank
+    top = cfg.n - 1
     best = -1
     found_chain = False
 
-    def dfs(chain):
+    def dfs(supp, depth, basis):
         nonlocal best, found_chain
-        if len(chain) == m - 1:
+        basis = echelon_extend(basis, [int(i in supp) for i in range(cfg.n)])
+        if depth == m - 1:
             found_chain = True
-            best = max(best, chain_rank(chain))
+            best = max(best, len(basis))
             return
-        for nxt in lat.covers[chain[-1]]:
-            if lat.height[nxt] <= m - 1:
-                dfs(chain + [nxt])
+        for nxt in lat.covers[supp]:
+            if best < top:
+                dfs(nxt, depth + 1, basis)
 
-    for s in starts:
-        dfs([s])
+    start = functools.reduce(echelon_extend, cfg.matrix.data, ())
+    for supp in lat.elements:
+        if lat.height[supp] == 1 and best < top:
+            dfs(supp, 1, start)
     if not found_chain:
         raise NoChain("no proper support chain of the required length")
     return best - 1

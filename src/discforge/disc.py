@@ -23,6 +23,7 @@ from .config import (
 from .defect import is_dual_defect
 from .errors import (
     DegenerateDual,
+    DiscforgeError,
     InconsistentSplit,
     KernelDimensionNotOne,
     NonPrimitive,
@@ -454,7 +455,7 @@ def _disc_b(b: GaleConfiguration) -> DiscriminantResult:
         )
     inner = _disc_b(c1)
     if inner.poly.is_one():
-        raise AssertionError("inner factor of a non-defect configuration is trivial")
+        raise DiscforgeError("inner factor of a non-defect configuration is trivial")
     rows2 = [glue_cfg.row(i) for i in idx2]
     w = _primitive_direction(rows2[0])
     pivot = next(k for k, x in enumerate(w) if x)
@@ -558,7 +559,7 @@ def check_specialization(cfg, j: int, line=None) -> bool:
         raise NotPositiveMultiple("b_j lies on the negative side of its line")
     h, u = row_hermite_transform(IntMatrix([[x] for x in w]))
     if h.row(0)[0] != 1:
-        raise AssertionError("primitive direction must reduce to gcd 1")
+        raise DiscforgeError("primitive direction must reduce to gcd 1")
     proj_rows = []
     keep = [i for i in range(n) if i not in cls]
     for i in keep:

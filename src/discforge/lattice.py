@@ -2,6 +2,7 @@
 
 Everything here runs over Python ints and ``fractions.Fraction``; no floats
 anywhere.  Determinants and ranks use fraction-free Bareiss elimination,
+span-membership tests grow a fraction-free echelon basis row by row,
 lattice computations use row-style Hermite normal form with unimodular
 transforms, and canonical bases make equal lattices compare equal.
 """
@@ -126,6 +127,28 @@ def bareiss(rows) -> tuple[int, int, object]:
 def rank(m: IntMatrix) -> int:
     """Rank via fraction-free Bareiss elimination."""
     return bareiss(m.data)[0]
+
+
+def echelon_extend(basis: tuple, vec) -> tuple:
+    """Grow a fraction-free echelon basis of a rational span by one vector.
+
+    ``basis`` is a tuple of (pivot, row) pairs, each row zero at the
+    pivots of the rows before it.  ``vec`` is reduced against the rows;
+    if it lies in their span the same basis object is returned, else a
+    new basis with the primitive residual appended, so ``len`` is the
+    rank of the span.
+    """
+    v = list(vec)
+    for p, row in basis:
+        f = v[p]
+        if f:
+            a = row[p]
+            v = [a * x - f * y for x, y in zip(v, row)]
+    piv = next((j for j, x in enumerate(v) if x), None)
+    if piv is None:
+        return basis
+    g = gcd(*v)
+    return basis + ((piv, tuple(x // g for x in v)),)
 
 
 def det(m: IntMatrix) -> int:

@@ -8,6 +8,7 @@ span of the previous flat.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
@@ -19,7 +20,7 @@ from .errors import (
     NotIrreducible,
     PyramidInput,
 )
-from .lattice import IntMatrix, integer_solve, rank, row_hermite
+from .lattice import IntMatrix, echelon_extend, integer_solve, rank, row_hermite
 
 
 @dataclass(frozen=True)
@@ -106,28 +107,20 @@ def reduce(cfg: GaleConfiguration) -> ReduceResult:
     )
 
 
-def _span_rank(cfg: GaleConfiguration, indices) -> int:
-    rows = [cfg.row(i) for i in indices]
-    return rank(IntMatrix(rows)) if rows else 0
-
-
-def _in_span(cfg: GaleConfiguration, indices, vec) -> bool:
-    rows = [cfg.row(i) for i in indices]
-    base = rank(IntMatrix(rows)) if rows else 0
-    return rank(IntMatrix(rows + [tuple(vec)])) == base
+def _basis(cfg: GaleConfiguration, indices) -> tuple:
+    """Echelon basis (``lattice.echelon_extend``) of the given rows' span."""
+    return functools.reduce(echelon_extend, map(cfg.row, indices), ())
 
 
 def closure(cfg: GaleConfiguration, indices) -> Flat:
     """Smallest flat containing the given rows: every row inside their
     rational span, zero rows included."""
-    core = sorted(set(indices))
+    basis = _basis(cfg, indices)
     members = [
-        i for i in range(cfg.n) if _in_span(cfg, core, cfg.row(i))
+        i for i in range(cfg.n) if echelon_extend(basis, cfg.row(i)) is basis
     ]
     return Flat(
-        indices=tuple(members),
-        rank=_span_rank(cfg, members),
-        sigma=cfg.sigma(members),
+        indices=tuple(members), rank=len(basis), sigma=cfg.sigma(members)
     )
 
 
@@ -139,7 +132,7 @@ def flats_of_rank(cfg: GaleConfiguration, k: int) -> list[Flat]:
         return [closure(cfg, ())]
     seen: dict[tuple[int, ...], Flat] = {}
     for sub in combinations(range(cfg.n), k):
-        if _span_rank(cfg, sub) != k:
+        if len(_basis(cfg, sub)) != k:
             continue
         fl = closure(cfg, sub)
         seen.setdefault(fl.indices, fl)
@@ -160,7 +153,8 @@ def is_nonsplitting_flag(cfg: GaleConfiguration, flats) -> bool:
             return False
         if fl.sigma != cfg.sigma(fl.indices):
             return False
-        if _in_span(cfg, prev, fl.sigma):
+        basis = _basis(cfg, prev)
+        if echelon_extend(basis, fl.sigma) is basis:
             return False
         prev = fl.indices
         prev_set = set(fl.indices)
@@ -172,19 +166,24 @@ def find_nonsplitting_flag(cfg: GaleConfiguration, k: int):
 
     Returns a tuple of Flats (empty tuple for k = 0) or None.  The search
     extends each flat by the closure of one extra row, trying candidate
-    flats in index order, so the first witness is deterministic.
+    flats in index order, so the first witness is deterministic.  Every
+    flat in a chain has rank equal to its depth, so whether a flag
+    continues below a flat depends on the flat alone: each flat is
+    expanded at most once, and a flat whose subtree failed is skipped.
     """
     if k == 0:
         return ()
+    dead: set[tuple[int, ...]] = set()
 
     def extensions(fl_indices):
         cands: dict[tuple[int, ...], Flat] = {}
-        inside = set(fl_indices)
+        covered = set(fl_indices)
         for i in range(cfg.n):
-            if i in inside:
+            if i in covered:
                 continue
             nxt = closure(cfg, tuple(fl_indices) + (i,))
-            cands.setdefault(nxt.indices, nxt)
+            cands[nxt.indices] = nxt
+            covered.update(nxt.indices)
         return [cands[key] for key in sorted(cands)]
 
     def dfs(chain):
@@ -192,14 +191,16 @@ def find_nonsplitting_flag(cfg: GaleConfiguration, k: int):
         if depth == k:
             return tuple(chain)
         base = chain[-1].indices if chain else ()
+        basis = _basis(cfg, base)
         for cand in extensions(base):
-            if cand.rank != depth + 1:
+            if cand.rank != depth + 1 or cand.indices in dead:
                 continue
-            if _in_span(cfg, base, cand.sigma):
+            if echelon_extend(basis, cand.sigma) is basis:
                 continue
             found = dfs(chain + [cand])
             if found is not None:
                 return found
+            dead.add(cand.indices)
         return None
 
     return dfs([])
@@ -215,7 +216,7 @@ def restrict_to_span(cfg: GaleConfiguration, indices) -> GaleConfiguration:
     for r in rows:
         x = integer_solve(basis, r)
         if x is None:
-            raise AssertionError("generator must lie in its own row lattice")
+            raise DiscforgeError("generator must lie in its own row lattice")
         coords.append(x)
     return GaleConfiguration(
         IntMatrix(coords), labels=[cfg.labels[i] for i in indices]

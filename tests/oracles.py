@@ -1,4 +1,5 @@
-"""Independent oracle for codimension-one discriminants.
+"""Independent oracles: codimension-one discriminants, and the plain
+exhaustive searches behind dual-defect verdicts and dual dimensions.
 
 Reconstructs the discriminant of a single dual vector b from first
 principles, bypassing the closed binomial expression, the Horn map and
@@ -15,15 +16,32 @@ A-grading, its support sits inside a single grading fiber; scanning
 fibers by increasing total degree and interpolating over the certified
 samples recovers the polynomial as the unique kernel vector, confirmed on
 a batch of fresh samples.
+
+The search oracles run the flag and support-chain searches without any
+memo, pruning or incremental basis: every span question is a fresh
+Bareiss rank, every flat is re-expanded on every path that reaches it,
+and every saturated support chain is ranked in full.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
-from discforge.config import GaleConfiguration, dual_of, standard_form
-from discforge.lattice import IntMatrix, clear_denominators, rational_nullspace
+from discforge.config import (
+    GaleConfiguration,
+    PointConfiguration,
+    dual_of,
+    gale_dual,
+    standard_form,
+)
+from discforge.lattice import (
+    IntMatrix,
+    clear_denominators,
+    rank,
+    rational_nullspace,
+)
+from discforge.matroid import Flat
 from discforge.poly import SparsePolynomial
 
 MAX_DEGREE = 12
@@ -121,3 +139,97 @@ def codim1_oracle(b) -> SparsePolynomial:
                     return cand.normalize()
                 break
     raise RuntimeError(f"no discriminant of degree <= {MAX_DEGREE} found for {b}")
+
+
+# -- flag and support-chain searches ---------------------------------------
+
+
+def _span_rank(cfg: GaleConfiguration, indices) -> int:
+    rows = [cfg.row(i) for i in indices]
+    return rank(IntMatrix(rows)) if rows else 0
+
+
+def _in_span(cfg: GaleConfiguration, indices, vec) -> bool:
+    rows = [cfg.row(i) for i in indices]
+    return _span_rank(cfg, indices) == rank(IntMatrix(rows + [tuple(vec)]))
+
+
+def oracle_closure(cfg: GaleConfiguration, indices) -> Flat:
+    """Every row in the rational span of the given rows."""
+    core = sorted(set(indices))
+    members = [i for i in range(cfg.n) if _in_span(cfg, core, cfg.row(i))]
+    return Flat(
+        indices=tuple(members),
+        rank=_span_rank(cfg, members),
+        sigma=cfg.sigma(members),
+    )
+
+
+def oracle_flag_search(cfg: GaleConfiguration, k: int):
+    """First non-splitting flag of length k in the depth-first order of
+    ``matroid.find_nonsplitting_flag`` (extensions by one row, candidate
+    flats in index order), or None."""
+    if k == 0:
+        return ()
+
+    def extensions(fl_indices):
+        cands: dict[tuple[int, ...], Flat] = {}
+        for i in range(cfg.n):
+            if i not in fl_indices:
+                nxt = oracle_closure(cfg, tuple(fl_indices) + (i,))
+                cands.setdefault(nxt.indices, nxt)
+        return [cands[key] for key in sorted(cands)]
+
+    def dfs(chain):
+        depth = len(chain)
+        if depth == k:
+            return tuple(chain)
+        base = chain[-1].indices if chain else ()
+        for cand in extensions(base):
+            if cand.rank != depth + 1 or _in_span(cfg, base, cand.sigma):
+                continue
+            found = dfs(chain + [cand])
+            if found is not None:
+                return found
+        return None
+
+    return dfs([])
+
+
+def oracle_dual_variety_dim(a: PointConfiguration) -> int:
+    """max rank(A^T | 1_s1 | ... | 1_s(m-1)) - 1 over all saturated chains
+    of proper supports; supports are complements of rank < m flats of the
+    Gale dual, at height m - rank."""
+    b = gale_dual(a)
+    n, m = a.n, b.m
+    if m == 1:
+        return rank(a.matrix) - 1
+    height: dict[frozenset, int] = {}
+    for k in range(m):
+        for sub in combinations(range(n), k):
+            fl = oracle_closure(b, sub)
+            if fl.rank == k:
+                height[frozenset(range(n)) - set(fl.indices)] = m - k
+    at = a.matrix.transpose()
+
+    def chain_rank(chain) -> int:
+        rows = [
+            at.row(i) + tuple(1 if i in s else 0 for s in chain)
+            for i in range(n)
+        ]
+        return rank(IntMatrix(rows))
+
+    covers = {
+        s: [t for t, g in height.items() if g == h + 1 and s < t]
+        for s, h in height.items()
+    }
+
+    def chains(chain):
+        if len(chain) == m - 1:
+            yield chain
+            return
+        for t in covers[chain[-1]]:
+            yield from chains(chain + [t])
+
+    starts = [s for s, h in height.items() if h == 1]
+    return max(chain_rank(c) for s in starts for c in chains([s])) - 1

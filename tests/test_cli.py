@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+import discforge.defect
 from discforge.cli import main
 from discforge.defect import SIZE_BOUND_ENV
+from discforge.matroid import Flat
 from discforge.poly import poly_from_json_dict
 
 SEVEN = "[[0,1],[-3,1],[2,-3],[-1,1],[1,0],[3,0],[-2,0]]"
@@ -311,3 +313,16 @@ def test_size_bound_rejects_negative_and_malformed(monkeypatch, capsys):
     rc, out, err = run(capsys, ["defect", "--matrix", CUBIC])
     assert rc == 2 and out == ""
     assert SIZE_BOUND_ENV in err
+
+
+def test_broken_invariant_is_an_error_line_not_a_traceback(capsys, monkeypatch):
+    # a flag whose first flat has the wrong rank fails the witness re-check
+    bogus = (Flat(indices=(0,), rank=2, sigma=(0,) * 5),)
+    monkeypatch.setattr(
+        discforge.defect, "find_nonsplitting_flag", lambda cfg, k: bogus
+    )
+    rc, out, err = run(capsys, ["defect", "--matrix", CAY222])
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: DiscforgeError: flag search returned an invalid witness")
+    assert "Traceback" not in err

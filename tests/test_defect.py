@@ -101,6 +101,20 @@ def test_three_squares_flag_search(cay222):
     assert dual_variety_dim(cay222) == 6
 
 
+def test_four_squares_flag_search_reach():
+    # n = 12, m = 7: the memoized search settles this in well under the
+    # tens of seconds an unmemoized search takes
+    cfg = cayley([segment(2)] * 4)
+    b = gale_dual(cfg)
+    assert (cfg.n, b.m) == (12, 7)
+    rep = is_dual_defect(b)
+    assert rep.defect
+    assert rep.method == "flag-search"
+    assert rep.witness == {"kind": "no-nonsplitting-flag", "length": 6}
+    assert is_dual_defect_exhaustive(b)
+    assert dual_variety_dim(cfg) == 8
+
+
 def test_validation_errors():
     with pytest.raises(NotHomogeneous):
         is_dual_defect(GaleConfiguration([[1, 0], [0, 1]]))

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from discforge.errors import DegenerateDual, NotInSpan, ParseError
 from discforge.lattice import (
     IntMatrix,
     clear_denominators,
     det,
+    echelon_extend,
     integer_solve,
     kernel_lattice_basis,
     lattice_index,
@@ -43,6 +46,40 @@ def test_rank_and_det():
     # a zero pivot forces a swap, and a later column has no pivot
     assert rank(IntMatrix([[0, 2, 4, 1], [3, 1, 2, 0], [6, 2, 4, 0]])) == 2
     assert rank(IntMatrix([[0, 0], [0, 5], [0, 7]])) == 1
+
+
+@st.composite
+def row_sequences(draw):
+    """Small integer rows, mixing fresh rows with zero rows, repeats and
+    integer combinations of earlier rows."""
+    width = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    rows: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "combo"]))
+        if kind == "zero" or (kind != "fresh" and not rows):
+            rows.append((0,) * width)
+        elif kind == "fresh":
+            rows.append(tuple(draw(st.lists(entry, min_size=width, max_size=width))))
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            p, q = draw(entry), draw(entry)
+            rows.append(tuple(p * x + q * y for x, y in zip(u, v)))
+    return rows
+
+
+@given(row_sequences())
+def test_echelon_extend_tracks_rank(rows):
+    basis = ()
+    for j, row in enumerate(rows):
+        grown = echelon_extend(basis, row)
+        before = rank(IntMatrix(rows[:j])) if j else 0
+        after = rank(IntMatrix(rows[: j + 1]))
+        assert len(grown) == after
+        assert (grown is basis) == (after == before)
+        basis = grown
 
 
 def test_row_hermite_transform_reconstructs():
