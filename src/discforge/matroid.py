@@ -183,6 +183,7 @@ def find_nonsplitting_flag(cfg: GaleConfiguration, k: int):
                 continue
             nxt = closure(cfg, tuple(fl_indices) + (i,))
             cands[nxt.indices] = nxt
+            # every other new row of nxt closes to nxt again
             covered.update(nxt.indices)
         return [cands[key] for key in sorted(cands)]
 
