@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .config import (
@@ -45,10 +44,6 @@ from .poly import poly_to_json_dict
 
 
 def _load_matrix(args) -> IntMatrix:
-    # a pipe such as /dev/stdin cannot be read twice; cache per invocation
-    cached = getattr(args, "_loaded_matrix", None)
-    if cached is not None:
-        return cached
     if getattr(args, "matrix", None) is not None:
         raw = args.matrix
     else:
@@ -69,20 +64,17 @@ def _load_matrix(args) -> IntMatrix:
         raise ParseError("matrix must be a list of rows")
     if not data or not data[0]:
         raise ParseError("matrix must have at least one row and one column")
-    args._loaded_matrix = IntMatrix(data)
-    return args._loaded_matrix
+    return IntMatrix(data)
 
 
-def _side_b(args) -> GaleConfiguration:
-    m = _load_matrix(args)
-    if args.side == "a":
+def _side_b(m: IntMatrix, side: str) -> GaleConfiguration:
+    if side == "a":
         return gale_dual(PointConfiguration(m))
     return GaleConfiguration(m)
 
 
-def _side_a(args) -> PointConfiguration:
-    m = _load_matrix(args)
-    if args.side == "a":
+def _side_a(m: IntMatrix, side: str) -> PointConfiguration:
+    if side == "a":
         return PointConfiguration(m)
     return dual_of(GaleConfiguration(m))
 
@@ -165,8 +157,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    b = _side_b(args)
-    res = reduce_config(b)
+    res = reduce_config(_side_b(_load_matrix(args), args.side))
     obj = {
         "matrix": res.config.matrix.to_lists(),
         "merged": [[i + 1 for i in cls] for cls in res.merged],
@@ -178,17 +169,18 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_defect(args) -> int:
-    b = _side_b(args)
-    report = is_dual_defect(b)
+    # both sides come from one read: a pipe such as /dev/stdin cannot be
+    # read twice
+    m = _load_matrix(args)
+    report = is_dual_defect(_side_b(m, args.side))
     try:
-        dim = dual_variety_dim(_side_a(args))
+        dim = dual_variety_dim(_side_a(m, args.side))
     except DiscforgeError:
         dim = None
-    report = replace(report, dual_dim=dim)
     obj = {
         "defect": report.defect,
         "witness": _one_based(report.witness),
-        "dual_dim": report.dual_dim,
+        "dual_dim": dim,
         "method": report.method,
     }
     _emit(
@@ -201,13 +193,13 @@ def cmd_defect(args) -> int:
 
 
 def cmd_dualdim(args) -> int:
-    dim = dual_variety_dim(_side_a(args))
+    dim = dual_variety_dim(_side_a(_load_matrix(args), args.side))
     _emit(args, {"dual_dim": dim}, str(dim))
     return 0
 
 
 def cmd_decompose(args) -> int:
-    rep = rho_bound(_side_b(args))
+    rep = rho_bound(_side_b(_load_matrix(args), args.side))
     obj = {
         "parts": [[i + 1 for i in p] for p in rep.parts],
         "ranks": list(rep.ranks),

@@ -1,10 +1,11 @@
 """Dual-defect classification and dual variety dimension.
 
 The classifier decides whether a configuration's dual variety fails to be
-a hypersurface.  Codimension m <= 4 uses closed-form structure tests; all
-other cases search exhaustively for a non-splitting flag of length m - 1,
-whose existence is equivalent to the dual variety having full dimension
-n - 2.  The dimension itself is evaluated through support chains.
+a hypersurface.  After the structural tests (a degenerate reduction, and
+complementary planes in codimension 4) it searches for a non-splitting
+flag of length m - 1, whose existence is equivalent to the dual variety
+having full dimension n - 2.  The dimension itself is evaluated through
+support chains.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
 from .lattice import IntMatrix, echelon_extend, rank
 from .matroid import (
     find_nonsplitting_flag,
+    flats_by_rank,
     flats_of_rank,
     is_nonsplitting_flag,
     reduce,
@@ -66,7 +68,6 @@ class DefectReport:
     defect: bool
     method: str
     witness: dict = field(default_factory=dict)
-    dual_dim: int | None = None
 
 
 def _validate(cfg: GaleConfiguration) -> None:
@@ -86,30 +87,13 @@ def _flag_witness(cfg: GaleConfiguration, flag) -> dict:
 
 
 def _complementary_planes(red: GaleConfiguration):
-    """Partition of a reduced rank-4 configuration into two plane-bound
-    halves with complementary spans, or None."""
-    n = red.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair = IntMatrix([red.row(i), red.row(j)])
-            if rank(pair) != 2:
-                continue
-            part1 = [
-                t
-                for t in range(n)
-                if rank(IntMatrix([red.row(i), red.row(j), red.row(t)])) == 2
-            ]
-            if i not in part1 or j not in part1:
-                continue
-            part2 = [t for t in range(n) if t not in part1]
-            if not part2:
-                continue
-            m2 = IntMatrix([red.row(t) for t in part2])
-            if rank(m2) != 2:
-                continue
-            whole = IntMatrix([red.row(t) for t in part1 + part2])
-            if rank(whole) == 4:
-                return tuple(part1), tuple(part2)
+    """Partition of a reduced rank-4 configuration into the first rank-2
+    flat, in index order, whose complement has rank 2, and that
+    complement; or None."""
+    for fl in flats_of_rank(red, 2):
+        rest = tuple(t for t in range(red.n) if t not in fl.indices)
+        if rank(IntMatrix([red.row(t) for t in rest])) == 2:
+            return fl.indices, rest
     return None
 
 
@@ -138,15 +122,6 @@ def is_dual_defect(cfg: GaleConfiguration) -> DefectReport:
                 "reduced_rows": red.config.matrix.to_lists(),
             },
         )
-    if m in (2, 3):
-        flag = find_nonsplitting_flag(cfg, m - 1)
-        if flag is None:
-            raise DiscforgeError(
-                "non-degenerate configuration of codimension 2 or 3 must carry a flag"
-            )
-        return DefectReport(
-            defect=False, method=f"codim-{m}", witness=_flag_witness(cfg, flag)
-        )
     if m == 4:
         planes = _complementary_planes(red.config)
         if planes is not None:
@@ -162,16 +137,12 @@ def is_dual_defect(cfg: GaleConfiguration) -> DefectReport:
                     "parts": [list(p) for p in orig],
                 },
             )
-        flag = find_nonsplitting_flag(cfg, 3)
-        if flag is None:
-            raise DiscforgeError(
-                "codimension-4 configuration without plane split must carry a flag"
-            )
-        return DefectReport(
-            defect=False, method="codim-4", witness=_flag_witness(cfg, flag)
-        )
     flag = find_nonsplitting_flag(cfg, m - 1)
     if flag is None:
+        if m <= 4:
+            raise DiscforgeError(
+                f"non-degenerate configuration of codimension {m} must carry a flag"
+            )
         return DefectReport(
             defect=True,
             method="flag-search",
@@ -180,7 +151,9 @@ def is_dual_defect(cfg: GaleConfiguration) -> DefectReport:
     if not is_nonsplitting_flag(cfg, flag):
         raise DiscforgeError("flag search returned an invalid witness")
     return DefectReport(
-        defect=False, method="flag-search", witness=_flag_witness(cfg, flag)
+        defect=False,
+        method=f"codim-{m}" if m <= 4 else "flag-search",
+        witness=_flag_witness(cfg, flag),
     )
 
 
@@ -225,16 +198,13 @@ def support_lattice(cfg: PointConfiguration) -> SupportLattice:
         )
     b = gale_dual(cfg)
     m = b.m
-    elements: list[frozenset] = []
-    height: dict[frozenset, int] = {}
-    full = set(range(cfg.n))
-    for k in range(m):
-        for fl in flats_of_rank(b, k):
-            supp = frozenset(full - set(fl.indices))
-            if supp not in height:
-                height[supp] = m - k
-                elements.append(supp)
-    elements.sort(key=lambda s: (len(s), sorted(s)))
+    full = frozenset(range(cfg.n))
+    height = {
+        full - set(fl.indices): m - k
+        for k, level in enumerate(flats_by_rank(b, m - 1))
+        for fl in level
+    }
+    elements = sorted(height, key=lambda s: (len(s), sorted(s)))
     covers: dict[frozenset, list[frozenset]] = {e: [] for e in elements}
     for low in elements:
         for high in elements:

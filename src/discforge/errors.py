@@ -66,10 +66,6 @@ class KernelDimensionNotOne(PreconditionError):
     """Interpolation kernel is not one dimensional; degenerate input."""
 
 
-class NegativeUExponent(PreconditionError):
-    """Fixed substitution shift leaves a negative exponent."""
-
-
 class NoVariable(PreconditionError):
     """Resultant input is constant in the eliminated variable."""
 

@@ -259,6 +259,23 @@ def lattice_index(c: IntMatrix) -> int:
     return g
 
 
+def _hermite_coords(m: IntMatrix, target):
+    """Hermite transform U of m, and the rational coordinates y with
+    y*H = target in the nonzero rows of H = U*M, or None off their span."""
+    target = tuple(target)
+    if len(target) != m.cols:
+        raise ValueError("target length does not match matrix width")
+    h, u = row_hermite_transform(m)
+    t = [Fraction(x) for x in target]
+    y = []
+    for j, c in enumerate(_pivot_columns(h)):
+        q = t[c] / h.row(j)[c]
+        y.append(q)
+        if q:
+            t = [x - q * v for x, v in zip(t, h.row(j))]
+    return u, (None if any(t) else y)
+
+
 def integer_solve(m: IntMatrix, target) -> tuple[int, ...] | None:
     """Integer row combination x with x*M = target, or None.
 
@@ -266,30 +283,12 @@ def integer_solve(m: IntMatrix, target) -> tuple[int, ...] | None:
     Hermite transform; any other integer solution differs by an element of
     the left kernel of M.
     """
-    target = tuple(target)
-    if len(target) != m.cols:
-        raise ValueError("target length does not match matrix width")
-    h, u = row_hermite_transform(m)
-    piv = _pivot_columns(h)
-    t = list(target)
-    y = []
-    for j, c in enumerate(piv):
-        p = h.row(j)[c]
-        if t[c] % p != 0:
-            return None
-        q = t[c] // p
-        y.append(q)
-        if q:
-            for k in range(m.cols):
-                t[k] -= q * h.row(j)[k]
-    if any(t):
+    u, y = _hermite_coords(m, target)
+    if y is None or any(q.denominator != 1 for q in y):
         return None
-    x = [0] * m.rows
-    for j, coeff in enumerate(y):
-        if coeff:
-            for k in range(m.rows):
-                x[k] += coeff * u.row(j)[k]
-    return tuple(x)
+    return tuple(
+        sum(int(q) * u.row(j)[k] for j, q in enumerate(y)) for k in range(m.rows)
+    )
 
 
 def smallest_multiplier(rows: IntMatrix, w) -> int:
@@ -297,20 +296,10 @@ def smallest_multiplier(rows: IntMatrix, w) -> int:
 
     Raises NotInSpan when w is outside the rational row span.
     """
-    w = tuple(w)
-    h = row_hermite(rows)
-    piv = _pivot_columns(h)
-    t = [Fraction(x) for x in w]
-    denoms = [1]
-    for j, c in enumerate(piv):
-        coeff = t[c] / h.row(j)[c]
-        denoms.append(coeff.denominator)
-        if coeff:
-            for k in range(len(w)):
-                t[k] -= coeff * h.row(j)[k]
-    if any(t):
+    _, y = _hermite_coords(rows, w)
+    if y is None:
         raise NotInSpan("vector lies outside the rational row span")
-    return lcm(*denoms)
+    return lcm(*(q.denominator for q in y))
 
 
 def rational_nullspace(rows) -> list[tuple[Fraction, ...]]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 
 from .config import GaleConfiguration
@@ -124,19 +123,42 @@ def closure(cfg: GaleConfiguration, indices) -> Flat:
     )
 
 
+def covering_flats(cfg: GaleConfiguration, flat: Flat) -> list[Flat]:
+    """The flats one rank above ``flat`` that contain it, ordered by index
+    tuple: each is the closure of the flat plus one row outside it."""
+    covers = []
+    covered = set(flat.indices)
+    for i in range(cfg.n):
+        if i not in covered:
+            cover = closure(cfg, flat.indices + (i,))
+            covers.append(cover)
+            # every other new row of the cover closes to it again
+            covered.update(cover.indices)
+    return sorted(covers, key=lambda fl: fl.indices)
+
+
+def flats_by_rank(cfg: GaleConfiguration, top: int) -> list[list[Flat]]:
+    """The flats of rank 0, 1, ..., top, one index-ordered list per rank.
+
+    Each rank is built from the covers of the rank below; every flat of
+    a geometric lattice covers one of the rank below, so none is missed.
+    """
+    levels = [[closure(cfg, ())]] if top >= 0 else []
+    for _ in range(top):
+        covers = {
+            cover.indices: cover
+            for fl in levels[-1]
+            for cover in covering_flats(cfg, fl)
+        }
+        levels.append([covers[key] for key in sorted(covers)])
+    return levels
+
+
 def flats_of_rank(cfg: GaleConfiguration, k: int) -> list[Flat]:
     """All rank-k flats, ordered by index tuple."""
     if k < 0 or k > rank(cfg.matrix):
         raise ValueError("flat rank out of range")
-    if k == 0:
-        return [closure(cfg, ())]
-    seen: dict[tuple[int, ...], Flat] = {}
-    for sub in combinations(range(cfg.n), k):
-        if len(_basis(cfg, sub)) != k:
-            continue
-        fl = closure(cfg, sub)
-        seen.setdefault(fl.indices, fl)
-    return [seen[key] for key in sorted(seen)]
+    return flats_by_rank(cfg, k)[k]
 
 
 def is_nonsplitting_flag(cfg: GaleConfiguration, flats) -> bool:
@@ -165,38 +187,22 @@ def find_nonsplitting_flag(cfg: GaleConfiguration, k: int):
     """Depth-first search for a non-splitting flag of length k.
 
     Returns a tuple of Flats (empty tuple for k = 0) or None.  The search
-    extends each flat by the closure of one extra row, trying candidate
-    flats in index order, so the first witness is deterministic.  Every
-    flat in a chain has rank equal to its depth, so whether a flag
-    continues below a flat depends on the flat alone: each flat is
-    expanded at most once, and a flat whose subtree failed is skipped.
+    walks ``covering_flats`` up from the rank-0 flat, trying covers in
+    index order, so the first witness is deterministic.  Every flat in a
+    chain has rank equal to its depth, so whether a flag continues below
+    a flat depends on the flat alone: each flat is expanded at most
+    once, and a flat whose subtree failed is skipped.
     """
     if k == 0:
         return ()
     dead: set[tuple[int, ...]] = set()
 
-    def extensions(fl_indices):
-        cands: dict[tuple[int, ...], Flat] = {}
-        covered = set(fl_indices)
-        for i in range(cfg.n):
-            if i in covered:
-                continue
-            nxt = closure(cfg, tuple(fl_indices) + (i,))
-            cands[nxt.indices] = nxt
-            # every other new row of nxt closes to nxt again
-            covered.update(nxt.indices)
-        return [cands[key] for key in sorted(cands)]
-
     def dfs(chain):
-        depth = len(chain)
-        if depth == k:
-            return tuple(chain)
-        base = chain[-1].indices if chain else ()
-        basis = _basis(cfg, base)
-        for cand in extensions(base):
-            if cand.rank != depth + 1 or cand.indices in dead:
-                continue
-            if echelon_extend(basis, cand.sigma) is basis:
+        if len(chain) == k + 1:
+            return tuple(chain[1:])
+        basis = _basis(cfg, chain[-1].indices)
+        for cand in covering_flats(cfg, chain[-1]):
+            if cand.indices in dead or echelon_extend(basis, cand.sigma) is basis:
                 continue
             found = dfs(chain + [cand])
             if found is not None:
@@ -204,7 +210,7 @@ def find_nonsplitting_flag(cfg: GaleConfiguration, k: int):
             dead.add(cand.indices)
         return None
 
-    return dfs([])
+    return dfs([closure(cfg, ())])
 
 
 def restrict_to_span(cfg: GaleConfiguration, indices) -> GaleConfiguration:
@@ -245,18 +251,17 @@ def decompose(cfg: GaleConfiguration, is_defect) -> Decomposition:
             IntMatrix([cfg.row(i) for i in remaining]),
             labels=[cfg.labels[i] for i in remaining],
         )
-        top = rank(sub.matrix)
-        found = None
-        for r in range(top, 1, -1):
-            for fl in flats_of_rank(sub, r):
-                if not fl.indices or any(fl.sigma):
-                    continue
-                part_cfg = restrict_to_span(sub, fl.indices)
-                if not is_defect(part_cfg):
-                    found = fl
-                    break
-            if found is not None:
-                break
+        levels = flats_by_rank(sub, rank(sub.matrix))
+        found = next(
+            (
+                fl
+                for level in reversed(levels[2:])
+                for fl in level
+                if not any(fl.sigma)
+                and not is_defect(restrict_to_span(sub, fl.indices))
+            ),
+            None,
+        )
         if found is None:
             raise DiscforgeError(
                 "no homogeneous non-defect flat found; decomposition failed"

@@ -13,7 +13,6 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (
-    NegativeUExponent,
     NoVariable,
     ParseError,
     ZeroCoordinate,
@@ -435,14 +434,12 @@ class UniPoly:
         return f"UniPoly({self.n}, {list(self.coeffs)!r})"
 
 
-def scaled_substitute(
-    f: SparsePolynomial, gamma, delta: int | None = None
-) -> UniPoly:
+def scaled_substitute(f: SparsePolynomial, gamma) -> UniPoly:
     """Collect f(u^gamma * x) * u^delta by powers of u.
 
     gamma assigns an integer u-weight to each variable; a term with
-    exponent e lands in u-degree <gamma, e> + delta.  With delta=None the
-    minimal shift making the u-constant term nonzero is chosen.
+    exponent e lands in u-degree <gamma, e> + delta, where delta is the
+    minimal shift making the u-constant term nonzero.
     """
     gamma = tuple(gamma)
     if len(gamma) != f.n:
@@ -450,13 +447,7 @@ def scaled_substitute(
     if f.is_zero():
         return UniPoly(f.n, [])
     weights = {e: sum(g * k for g, k in zip(gamma, e)) for e in f.terms}
-    wmin = min(weights.values())
-    if delta is None:
-        delta = -wmin
-    elif wmin + delta < 0:
-        raise NegativeUExponent(
-            f"shift {delta} leaves u-exponent {wmin + delta}"
-        )
+    delta = -min(weights.values())
     buckets: dict[int, dict[tuple[int, ...], int]] = {}
     for e, c in f.terms.items():
         buckets.setdefault(weights[e] + delta, {})[e] = c

@@ -20,7 +20,9 @@ a batch of fresh samples.
 The search oracles run the flag and support-chain searches without any
 memo, pruning or incremental basis: every span question is a fresh
 Bareiss rank, every flat is re-expanded on every path that reaches it,
-and every saturated support chain is ranked in full.
+and every saturated support chain is ranked in full.  Flats of a given
+rank come from closing every subset of that size, and complementary
+planes from a scan over row pairs.
 """
 
 from __future__ import annotations
@@ -196,20 +198,59 @@ def oracle_flag_search(cfg: GaleConfiguration, k: int):
     return dfs([])
 
 
+def oracle_flats_of_rank(cfg: GaleConfiguration, k: int) -> list[Flat]:
+    """Rank-k flats, ordered by index tuple: the closures of all k-subsets
+    of rank k."""
+    seen: dict[tuple[int, ...], Flat] = {}
+    for sub in combinations(range(cfg.n), k):
+        if _span_rank(cfg, sub) == k:
+            fl = oracle_closure(cfg, sub)
+            seen.setdefault(fl.indices, fl)
+    return [seen[key] for key in sorted(seen)]
+
+
+def oracle_support_lattice(a: PointConfiguration):
+    """(elements, height, covers) of the support lattice: complements of
+    the rank < m flats of the Gale dual at height m - rank, ordered by
+    size then members, each covered by the supports one height up that
+    contain it."""
+    b = gale_dual(a)
+    n, m = a.n, b.m
+    height: dict[frozenset, int] = {}
+    for k in range(m):
+        for fl in oracle_flats_of_rank(b, k):
+            height[frozenset(range(n)) - set(fl.indices)] = m - k
+    elements = tuple(sorted(height, key=lambda s: (len(s), sorted(s))))
+    covers = {
+        s: [t for t in elements if height[t] == height[s] + 1 and s < t]
+        for s in elements
+    }
+    return elements, height, covers
+
+
+def oracle_complementary_planes(red: GaleConfiguration):
+    """Scan the independent row pairs in lexicographic order; return the
+    rows in the first pair's span and the other rows once those have rank
+    2 and all rows rank 4, or None."""
+    n = red.n
+    for i, j in combinations(range(n), 2):
+        if _span_rank(red, (i, j)) != 2:
+            continue
+        part1 = [t for t in range(n) if _span_rank(red, (i, j, t)) == 2]
+        part2 = [t for t in range(n) if t not in part1]
+        if part2 and _span_rank(red, part2) == 2 and _span_rank(red, range(n)) == 4:
+            return tuple(part1), tuple(part2)
+    return None
+
+
 def oracle_dual_variety_dim(a: PointConfiguration) -> int:
     """max rank(A^T | 1_s1 | ... | 1_s(m-1)) - 1 over all saturated chains
-    of proper supports; supports are complements of rank < m flats of the
-    Gale dual, at height m - rank."""
+    of proper supports in ``oracle_support_lattice``."""
     b = gale_dual(a)
     n, m = a.n, b.m
     if m == 1:
         return rank(a.matrix) - 1
-    height: dict[frozenset, int] = {}
-    for k in range(m):
-        for sub in combinations(range(n), k):
-            fl = oracle_closure(b, sub)
-            if fl.rank == k:
-                height[frozenset(range(n)) - set(fl.indices)] = m - k
+    elements, height, covers = oracle_support_lattice(a)
     at = a.matrix.transpose()
 
     def chain_rank(chain) -> int:
@@ -219,11 +260,6 @@ def oracle_dual_variety_dim(a: PointConfiguration) -> int:
         ]
         return rank(IntMatrix(rows))
 
-    covers = {
-        s: [t for t, g in height.items() if g == h + 1 and s < t]
-        for s, h in height.items()
-    }
-
     def chains(chain):
         if len(chain) == m - 1:
             yield chain
@@ -231,5 +267,5 @@ def oracle_dual_variety_dim(a: PointConfiguration) -> int:
         for t in covers[chain[-1]]:
             yield from chains(chain + [t])
 
-    starts = [s for s, h in height.items() if h == 1]
+    starts = [s for s in elements if height[s] == 1]
     return max(chain_rank(c) for s in starts for c in chains([s])) - 1

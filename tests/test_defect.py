@@ -142,6 +142,13 @@ def test_support_lattice_cubic(twisted_cubic):
     assert lat.covers[full] == []
 
 
+def test_support_lattice_empty_dual():
+    # two independent points: the Gale dual has no columns, so no support
+    lat = support_lattice(PointConfiguration([[1, 0], [0, 1]]))
+    assert lat.m == 0
+    assert lat.elements == () and lat.height == {} and lat.covers == {}
+
+
 def test_support_lattice_size_bound(monkeypatch, twisted_cubic):
     monkeypatch.setenv(SIZE_BOUND_ENV, "3")
     with pytest.raises(SizeBound):

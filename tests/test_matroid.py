@@ -13,8 +13,10 @@ from discforge.matroid import (
     Flat,
     closure,
     collinear_classes,
+    covering_flats,
     decompose,
     find_nonsplitting_flag,
+    flats_by_rank,
     flats_of_rank,
     is_nonsplitting_flag,
     reduce,
@@ -107,6 +109,29 @@ def test_flats_of_rank(seven_point_b):
     assert [fl.indices for fl in twos] == [(0, 1, 2, 3, 4, 5, 6)]
     with pytest.raises(ValueError):
         flats_of_rank(seven_point_b, 3)
+
+
+def test_covering_flats(seven_point_b):
+    bottom = closure(seven_point_b, ())
+    assert covering_flats(seven_point_b, bottom) == flats_of_rank(seven_point_b, 1)
+    line = closure(seven_point_b, [4])
+    top = closure(seven_point_b, [0, 4])
+    assert covering_flats(seven_point_b, line) == [top]
+    assert covering_flats(seven_point_b, top) == []
+
+
+def test_covering_flats_carry_zero_rows():
+    b = GaleConfiguration([[1, 0], [0, 0], [-1, 0], [0, 1], [2, 1]])
+    covers = covering_flats(b, closure(b, ()))
+    assert [fl.indices for fl in covers] == [(0, 1, 2), (1, 3), (1, 4)]
+    assert all(fl.rank == 1 for fl in covers)
+
+
+def test_flats_by_rank_levels(seven_point_b):
+    levels = flats_by_rank(seven_point_b, 2)
+    assert levels == [flats_of_rank(seven_point_b, k) for k in range(3)]
+    assert flats_by_rank(seven_point_b, 0) == [[closure(seven_point_b, ())]]
+    assert flats_by_rank(seven_point_b, -1) == []
 
 
 def test_is_nonsplitting_flag(seven_point_b):

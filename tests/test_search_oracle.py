@@ -1,11 +1,18 @@
-"""The memoized flag search and the incremental support-chain search
-against the plain exhaustive searches in ``oracles``."""
+"""The memoized flag search, the incremental support-chain search, the
+level walk of flats and the flat-based plane split against the plain
+exhaustive searches in ``oracles``."""
 
 import pytest
 from conftest import SEVEN_ROWS
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import oracle_dual_variety_dim, oracle_flag_search
+from oracles import (
+    oracle_complementary_planes,
+    oracle_dual_variety_dim,
+    oracle_flag_search,
+    oracle_flats_of_rank,
+    oracle_support_lattice,
+)
 
 from discforge.config import (
     GaleConfiguration,
@@ -16,15 +23,32 @@ from discforge.config import (
     is_pyramid,
     segment,
 )
-from discforge.defect import dirocco_fixtures, dual_variety_dim
+from discforge.defect import (
+    _complementary_planes,
+    dirocco_fixtures,
+    dual_variety_dim,
+    support_lattice,
+)
 from discforge.lattice import IntMatrix, rank
-from discforge.matroid import find_nonsplitting_flag
+from discforge.matroid import find_nonsplitting_flag, flats_of_rank, reduce
+
+
+def _agree_planes(red: GaleConfiguration) -> None:
+    # no two reduced rows are parallel, so any two rows of a rank-2 flat
+    # span it and the pair scan first meets the first such flat
+    if red.n and rank(red.matrix) == 4:
+        assert _complementary_planes(red) == oracle_complementary_planes(red)
 
 
 def _agree(a: PointConfiguration) -> None:
     b = gale_dual(a)
     assert find_nonsplitting_flag(b, b.m - 1) == oracle_flag_search(b, b.m - 1)
     assert dual_variety_dim(a) == oracle_dual_variety_dim(a)
+    for k in range(rank(b.matrix) + 1):
+        assert flats_of_rank(b, k) == oracle_flats_of_rank(b, k)
+    lat = support_lattice(a)
+    assert (lat.elements, lat.height, lat.covers) == oracle_support_lattice(a)
+    _agree_planes(reduce(b).config)
 
 
 NAMED = {
@@ -56,3 +80,23 @@ def test_planar_point_sets_match_oracle(rows):
     a = PointConfiguration(rows)
     assume(not is_pyramid(a))
     _agree(a)
+
+
+# rank-4 vector configurations, many of whose rows lie in one of the two
+# coordinate planes, so that some have complementary planes and some not
+plane_row = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+rank4_rows = st.lists(
+    st.one_of(
+        plane_row.map(lambda v: (*v, 0, 0)),
+        plane_row.map(lambda v: (0, 0, *v)),
+        st.tuples(*[st.integers(-2, 2)] * 4),
+    ),
+    min_size=4,
+    max_size=9,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank4_rows)
+def test_plane_split_matches_pair_scan(rows):
+    _agree_planes(reduce(GaleConfiguration(rows)).config)
