@@ -151,24 +151,19 @@ def horn_eval(cfg: GaleConfiguration, zeta) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _primes():
-    yield 2
-    found = [2]
-    c = 3
-    while True:
-        if all(c % p for p in found):
-            found.append(c)
-            yield c
-        c += 2
+MAX_CURVE_DEGREE = 16
 
 
 def horn_implicitize_rank2(cfg: GaleConfiguration) -> SparsePolynomial:
     """Implicit equation of the closure of the Horn map image, m = 2.
 
-    Exact interpolation over rational curve samples with a Bezout-grade
-    certificate: a candidate of degree D is accepted only after vanishing
-    at more than D^2 distinct image points, which forces it to contain the
-    irreducible image curve.
+    The Horn parametrization is birational (Kapranov), so the curve's
+    degree D is its number of poles: each row of the reduced
+    configuration contributes max(0, -b_1, -b_2).  One exact nullspace
+    over the monomials of degree <= D at D^2 + 1 distinct curve points
+    gives the equation: by Bezout every kernel vector contains the
+    irreducible curve, so the kernel must be one-dimensional.  Curves of
+    degree above MAX_CURVE_DEGREE raise Unsupported before any sampling.
     """
     if cfg.m != 2:
         raise ValueError("implicitization requires codimension 2")
@@ -185,71 +180,33 @@ def horn_implicitize_rank2(cfg: GaleConfiguration) -> SparsePolynomial:
         raise KernelDimensionNotOne(
             "degenerate configuration; the map image is not a curve"
         )
-
-    samples: list[tuple[Fraction, Fraction]] = []
-    seen: set[tuple[Fraction, Fraction]] = set()
-    stream = _primes()
-
-    def more_samples(count: int) -> None:
-        stale = 0
-        while len(samples) < count:
-            t = next(stream)
-            try:
-                z = horn_eval(cfg, (t, 1))
-            except OnExceptionalLocus:
-                continue
-            if z not in seen:
-                seen.add(z)
-                samples.append(z)
-                stale = 0
-            else:
-                # a curve image revisits each value only finitely often
-                stale += 1
-                if stale > 200:
-                    raise KernelDimensionNotOne(
-                        "sample stream stopped producing new image points"
-                    )
-
-    max_degree = 16
-    for deg in range(1, max_degree + 1):
-        monos = [
-            (a, b)
-            for total in range(deg + 1)
-            for a in range(total + 1)
-            for b in [total - a]
-        ]
-        detect = len(monos) + 10
-        attempts = 0
-        while True:
-            more_samples(detect)
-            rows = [
-                [z1**a * z2**b for (a, b) in monos]
-                for (z1, z2) in samples[:detect]
-            ]
-            kernel = rational_nullspace(rows)
-            if not kernel:
-                break
-            if len(kernel) > 1:
-                attempts += 1
-                if attempts > 3:
-                    raise KernelDimensionNotOne(
-                        "interpolation kernel stays above dimension 1; "
-                        "degenerate image"
-                    )
-                detect += len(monos)
-                continue
-            coeffs = clear_denominators(kernel[0])
-            cand = SparsePolynomial(
-                2, {monos[i]: c for i, c in enumerate(coeffs) if c}
-            )
-            needed = deg * deg + 1
-            more_samples(max(detect, needed))
-            if all(
-                cand.evaluate(z) == 0 for z in samples[: max(detect, needed)]
-            ):
-                return cand.normalize()
-            detect = max(detect, needed) + 10
-    raise Unsupported(f"no implicit equation of degree <= {max_degree} found")
+    deg = sum(max(0, -b1, -b2) for b1, b2 in red.config.rows())
+    if deg > MAX_CURVE_DEGREE:
+        raise Unsupported(
+            f"Horn curve of degree {deg}; implicitization stops at degree "
+            f"{MAX_CURVE_DEGREE}"
+        )
+    # a nonconstant rational map takes each value finitely often
+    samples: dict[tuple[Fraction, ...], None] = {}
+    t = 0
+    while len(samples) < deg * deg + 1:
+        t += 1
+        try:
+            samples[horn_eval(cfg, (t, 1))] = None
+        except OnExceptionalLocus:
+            pass
+    monos = [(a, total - a) for total in range(deg + 1) for a in range(total + 1)]
+    kernel = rational_nullspace(
+        [z1**a * z2**b for (a, b) in monos] for (z1, z2) in samples
+    )
+    if len(kernel) != 1:
+        raise KernelDimensionNotOne(
+            f"interpolation kernel has dimension {len(kernel)} at degree {deg}"
+        )
+    coeffs = clear_denominators(kernel[0])
+    return SparsePolynomial(
+        2, {monos[i]: c for i, c in enumerate(coeffs) if c}
+    ).normalize()
 
 
 def pullback(f: SparsePolynomial, cfg: GaleConfiguration) -> SparsePolynomial:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import DegenerateDual, NotInSpan, ParseError
 
@@ -244,19 +243,13 @@ def kernel_lattice_basis(m: IntMatrix) -> LatticeBasis:
 def lattice_index(c: IntMatrix) -> int:
     """Index in its saturation of the lattice spanned by the columns of c.
 
-    Equals the gcd of all maximal minors; requires full column rank.
+    The product of the Hermite pivots, which equals the gcd of all
+    maximal minors; requires full column rank.
     """
-    n, m = c.rows, c.cols
-    if m == 0:
-        return 1
-    if rank(c) < m:
+    h = row_hermite(c)
+    if h.rows < c.cols:
         raise DegenerateDual("columns are rank deficient, index undefined")
-    g = 0
-    for sub in combinations(range(n), m):
-        g = gcd(g, det(IntMatrix([c.row(i) for i in sub])))
-        if g == 1:
-            return 1
-    return g
+    return prod(row[j] for j, row in enumerate(h.data))
 
 
 def _hermite_coords(m: IntMatrix, target):

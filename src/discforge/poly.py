@@ -353,7 +353,7 @@ def divides(f: SparsePolynomial, g: SparsePolynomial) -> bool:
 
 def exact_quotient(f: SparsePolynomial, g: SparsePolynomial) -> SparsePolynomial:
     """Exact quotient f / g over Z; raises ArithmeticError when g does not
-    divide f exactly.  Inputs must not be Laurent."""
+    divide f in Z[x], even if it does over Q.  Inputs must not be Laurent."""
     if f.n != g.n:
         raise ValueError("ambient mismatch")
     if g.is_zero():
@@ -363,29 +363,24 @@ def exact_quotient(f: SparsePolynomial, g: SparsePolynomial) -> SparsePolynomial
     if any(k < 0 for e in list(f.terms) + list(g.terms) for k in e):
         raise ArithmeticError("exact division requires non-Laurent operands")
     lead_e, lead_c = g.leading()
-    rem: dict[tuple[int, ...], Fraction] = {e: Fraction(c) for e, c in f.terms.items()}
-    quo: dict[tuple[int, ...], Fraction] = {}
+    rem = dict(f.terms)
+    quo: dict[tuple[int, ...], int] = {}
     while rem:
+        # leading exponents strictly decrease, so each quotient term is final
         re = max(rem, key=_dp_key)
         diff = tuple(a - b for a, b in zip(re, lead_e))
-        if any(d < 0 for d in diff):
+        coeff, r = divmod(rem[re], lead_c)
+        if r or any(d < 0 for d in diff):
             raise ArithmeticError("inexact polynomial division")
-        coeff = rem[re] / lead_c
-        quo[diff] = quo.get(diff, Fraction(0)) + coeff
+        quo[diff] = coeff
         for e, c in g.terms.items():
             tgt = tuple(a + b for a, b in zip(e, diff))
-            val = rem.get(tgt, Fraction(0)) - coeff * c
+            val = rem.get(tgt, 0) - coeff * c
             if val:
                 rem[tgt] = val
             else:
                 rem.pop(tgt, None)
-    out = {}
-    for e, c in quo.items():
-        if c.denominator != 1:
-            raise ArithmeticError("inexact polynomial division")
-        if c:
-            out[e] = int(c)
-    return SparsePolynomial(f.n, out)
+    return SparsePolynomial(f.n, quo)
 
 
 # -- univariate wrapper and resultants -----------------------------------

@@ -23,12 +23,17 @@ Bareiss rank, every flat is re-expanded on every path that reaches it,
 and every saturated support chain is ranked in full.  Flats of a given
 rank come from closing every subset of that size, and complementary
 planes from a scan over row pairs.
+
+The lattice index is the gcd of every maximal minor, and Horn-Kapranov
+points (B lam) * t^A give coefficient vectors on the discriminant of any
+non-defect configuration, whichever route computed it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import gcd
 
 from discforge.config import (
     GaleConfiguration,
@@ -40,6 +45,7 @@ from discforge.config import (
 from discforge.lattice import (
     IntMatrix,
     clear_denominators,
+    det,
     rank,
     rational_nullspace,
 )
@@ -141,6 +147,26 @@ def codim1_oracle(b) -> SparsePolynomial:
                     return cand.normalize()
                 break
     raise RuntimeError(f"no discriminant of degree <= {MAX_DEGREE} found for {b}")
+
+
+def oracle_lattice_index(c: IntMatrix) -> int:
+    """gcd of all maximal minors of c: 0 when the columns are dependent."""
+    g = 0
+    for sub in combinations(range(c.rows), c.cols):
+        g = gcd(g, det(IntMatrix([c.row(i) for i in sub])))
+    return g
+
+
+def horn_kapranov_point(a: IntMatrix, b: IntMatrix, lam, t) -> tuple[Fraction, ...]:
+    """c_j = (B lam)_j * prod_i t_i^(a_ij): the Horn-Kapranov
+    uniformization, moved along the torus orbit of the A-grading."""
+    out = []
+    for j in range(b.rows):
+        v = Fraction(sum(x * y for x, y in zip(b.row(j), lam)))
+        for i in range(a.rows):
+            v *= Fraction(t[i]) ** a.row(i)[j]
+        out.append(v)
+    return tuple(out)
 
 
 # -- flag and support-chain searches ---------------------------------------

@@ -286,6 +286,19 @@ def test_unsupported_exit_code(capsys):
     assert "index 2" in err
 
 
+def test_oversized_horn_curve_exit_code(capsys):
+    rc, out, err = run(
+        capsys,
+        [
+            "discriminant", "--side", "b", "--matrix",
+            "[[1,0],[0,1],[-17,-16],[16,15]]",
+        ],
+    )
+    assert rc == 4
+    assert out == ""
+    assert "Unsupported" in err and "degree 17" in err
+
+
 def test_size_bound_flag(monkeypatch, capsys):
     monkeypatch.setenv(SIZE_BOUND_ENV, "12")
     rc, _, err = run(capsys, ["--size-bound", "3", "dualdim", "--matrix", CUBIC])

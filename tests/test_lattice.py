@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import oracle_lattice_index
 
 from discforge.errors import DegenerateDual, NotInSpan, ParseError
 from discforge.lattice import (
@@ -129,6 +130,29 @@ def test_lattice_index():
     assert lattice_index(IntMatrix([[2, 0], [0, 2], [2, 2]])) == 4
     with pytest.raises(DegenerateDual):
         lattice_index(IntMatrix([[1, 2], [2, 4]]))
+
+
+@st.composite
+def tall_matrices(draw):
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 6))
+    entries = st.integers(-6, 6)
+    return IntMatrix(
+        draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n))
+    )
+
+
+@given(tall_matrices(), st.integers(2, 5))
+def test_lattice_index_is_the_minor_gcd(c, k):
+    # scaling a column by k makes an index of at least k
+    scaled = IntMatrix([(row[0] * k,) + row[1:] for row in c.data])
+    for mat in (c, scaled):
+        g = oracle_lattice_index(mat)
+        if g == 0:
+            with pytest.raises(DegenerateDual):
+                lattice_index(mat)
+        else:
+            assert lattice_index(mat) == g
 
 
 def test_integer_solve():

@@ -144,6 +144,13 @@ def test_exact_quotient():
     assert (2 * prod) // 2 == prod
     with pytest.raises(ArithmeticError):
         (x + y) // 2
+    # quotients that exist over Q but not over Z
+    one = SparsePolynomial.constant(2, 1)
+    with pytest.raises(ArithmeticError):
+        exact_quotient(x + one, 2 * x + 2 * one)
+    with pytest.raises(ArithmeticError):
+        exact_quotient((x + one) * (2 * x + one), 2 * x + 2 * one)
+    assert exact_quotient(2 * x + 2 * one, x + one) == 2 * one
     assert x and not SparsePolynomial.zero(2)
 
 
