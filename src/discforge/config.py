@@ -17,7 +17,6 @@ from .errors import (
 )
 from .lattice import (
     IntMatrix,
-    LatticeBasis,
     integer_solve,
     kernel_lattice_basis,
     lattice_index,
@@ -160,8 +159,7 @@ def is_homogeneous(cfg: PointConfiguration) -> bool:
 
 def gale_dual(cfg: PointConfiguration) -> GaleConfiguration:
     """Gale dual: kernel lattice basis vectors as columns, index 1."""
-    basis = kernel_lattice_basis(cfg.matrix)
-    cols = basis.vectors
+    cols = kernel_lattice_basis(cfg.matrix).data
     rows = [tuple(v[i] for v in cols) for i in range(cfg.n)]
     return GaleConfiguration(IntMatrix(rows), labels=cfg.labels)
 
@@ -173,8 +171,9 @@ def dual_of(cfg: GaleConfiguration) -> PointConfiguration:
     orthogonal to the columns of B; a zero row of B makes the result a
     pyramid, which callers may report.
     """
-    basis = kernel_lattice_basis(cfg.matrix.transpose())
-    return PointConfiguration(IntMatrix(basis.vectors), labels=cfg.labels)
+    return PointConfiguration(
+        kernel_lattice_basis(cfg.matrix.transpose()), labels=cfg.labels
+    )
 
 
 def saturated_row_basis(cfg: PointConfiguration) -> IntMatrix:
@@ -185,8 +184,7 @@ def saturated_row_basis(cfg: PointConfiguration) -> IntMatrix:
         return IntMatrix(
             [[1 if i == j else 0 for j in range(cfg.n)] for i in range(cfg.n)]
         )
-    basis = kernel_lattice_basis(b.matrix.transpose())
-    return IntMatrix(basis.vectors)
+    return kernel_lattice_basis(b.matrix.transpose())
 
 
 def standard_form(cfg: PointConfiguration) -> PointConfiguration:
@@ -260,5 +258,4 @@ __all__ = [
     "segment",
     "cayley",
     "IntMatrix",
-    "LatticeBasis",
 ]

@@ -4,8 +4,8 @@ The classifier decides whether a configuration's dual variety fails to be
 a hypersurface.  After the structural tests (a degenerate reduction, and
 complementary planes in codimension 4) it searches for a non-splitting
 flag of length m - 1, whose existence is equivalent to the dual variety
-having full dimension n - 2.  The dimension itself is evaluated through
-support chains.
+having full dimension n - 2.  The dimension itself is maximized over
+complete flags of flats of the Gale dual.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from .config import (
     PointConfiguration,
     cayley,
     gale_dual,
+    is_homogeneous,
     is_pyramid,
     segment,
 )
 from .errors import (
     DegenerateDual,
     DiscforgeError,
-    NoChain,
     NotHomogeneous,
     ParseError,
     PyramidInput,
@@ -33,6 +33,9 @@ from .errors import (
 )
 from .lattice import IntMatrix, echelon_extend, rank
 from .matroid import (
+    closure,
+    covering_flats,
+    decompose,
     find_nonsplitting_flag,
     flats_by_rank,
     flats_of_rank,
@@ -63,6 +66,15 @@ def size_bound() -> int:
     return bound
 
 
+def _check_size(cfg: PointConfiguration) -> None:
+    bound = size_bound()
+    if cfg.n > bound:
+        raise SizeBound(
+            f"support enumeration limited to n <= {bound} "
+            f"(override via {SIZE_BOUND_ENV})"
+        )
+
+
 @dataclass(frozen=True)
 class DefectReport:
     defect: bool
@@ -77,13 +89,6 @@ def _validate(cfg: GaleConfiguration) -> None:
         raise PyramidInput("zero dual vector; configuration is a pyramid")
     if cfg.rank < cfg.m:
         raise DegenerateDual("dual vectors must span the full codimension")
-
-
-def _flag_witness(cfg: GaleConfiguration, flag) -> dict:
-    return {
-        "kind": "flag",
-        "flats": [list(fl.indices) for fl in flag],
-    }
 
 
 def _complementary_planes(red: GaleConfiguration):
@@ -153,7 +158,7 @@ def is_dual_defect(cfg: GaleConfiguration) -> DefectReport:
     return DefectReport(
         defect=False,
         method=f"codim-{m}" if m <= 4 else "flag-search",
-        witness=_flag_witness(cfg, flag),
+        witness={"kind": "flag", "flats": [list(fl.indices) for fl in flag]},
     )
 
 
@@ -191,11 +196,7 @@ def support_lattice(cfg: PointConfiguration) -> SupportLattice:
     Supports are exactly the complements of flats of the dual row matroid
     of rank below m, which keeps the poset graded.
     """
-    if cfg.n > size_bound():
-        raise SizeBound(
-            f"support enumeration limited to n <= {size_bound()} "
-            f"(override via {SIZE_BOUND_ENV})"
-        )
+    _check_size(cfg)
     b = gale_dual(cfg)
     m = b.m
     full = frozenset(range(cfg.n))
@@ -216,45 +217,49 @@ def support_lattice(cfg: PointConfiguration) -> SupportLattice:
 
 
 def dual_variety_dim(cfg: PointConfiguration) -> int:
-    """Dimension of the dual variety via support chains.
+    """Dimension of the dual variety over flags of flats.
 
-    Maximizes rank(A^T | 1_s1 | ... | 1_s(m-1)) - 1 over saturated chains
-    of proper supports, enumerated by depth-first search on covering
-    relations of the support lattice.
+    Maximizes rank(A^T | 1_F1 | ... | 1_F(m-1)) - 1 over complete flags
+    F1 < ... < F(m-1) of flats of the Gale dual, walked depth first up
+    ``covering_flats`` from the rank-0 flat.  A is homogeneous, so A^T
+    spans the all-ones vector and each 1_F may stand for the support
+    indicator 1 - 1_F of the complementary support chain.
     """
-    from .config import is_homogeneous
-
     if not is_homogeneous(cfg):
         raise NotHomogeneous("dual dimension formula needs a homogeneous input")
     if is_pyramid(cfg):
         raise PyramidInput("pyramids have degenerate duals; no dimension computed")
-    lat = support_lattice(cfg)
-    m = lat.m
+    _check_size(cfg)
+    b = gale_dual(cfg)
+    m = b.m
     if m == 1:
         return rank(cfg.matrix) - 1
-    # column basis of (A^T | 1_s1 | ...), one reduction per chain step;
-    # its n - 1 = rank(A) + m - 1 columns bound every chain's rank
+    # column basis of (A^T | 1_F1 | ...), one reduction per flag step;
+    # its n - 1 = rank(A) + m - 1 columns bound every flag's rank
     top = cfg.n - 1
     best = -1
-    found_chain = False
+    # each flat's covers are computed once, since a flat lies on every
+    # flag through it, and shared as one (flat, indicator) node per flat
+    ups: dict[tuple[int, ...], list] = {}
+    nodes: dict[tuple[int, ...], tuple] = {}
 
-    def dfs(supp, depth, basis):
-        nonlocal best, found_chain
-        basis = echelon_extend(basis, [int(i in supp) for i in range(cfg.n)])
-        if depth == m - 1:
-            found_chain = True
+    def dfs(flat, basis):
+        nonlocal best
+        if flat.rank == m - 1:
             best = max(best, len(basis))
             return
-        for nxt in lat.covers[supp]:
+        if flat.indices not in ups:
+            ups[flat.indices] = [
+                nodes.setdefault(
+                    c.indices, (c, [int(i in c.indices) for i in range(cfg.n)])
+                )
+                for c in covering_flats(b, flat)
+            ]
+        for cover, ind in ups[flat.indices]:
             if best < top:
-                dfs(nxt, depth + 1, basis)
+                dfs(cover, echelon_extend(basis, ind))
 
-    start = functools.reduce(echelon_extend, cfg.matrix.data, ())
-    for supp in lat.elements:
-        if lat.height[supp] == 1 and best < top:
-            dfs(supp, 1, start)
-    if not found_chain:
-        raise NoChain("no proper support chain of the required length")
+    dfs(closure(b, ()), functools.reduce(echelon_extend, cfg.matrix.data, ()))
     return best - 1
 
 
@@ -273,8 +278,6 @@ def rho_bound(cfg: GaleConfiguration) -> RhoReport:
     The input is reduced first; parts refer to rows of the reduced
     configuration mapped back to original class index sets.
     """
-    from .matroid import decompose
-
     if not cfg.is_homogeneous():
         raise NotHomogeneous("rho bound needs a homogeneous configuration")
     red = reduce(cfg)

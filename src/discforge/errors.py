@@ -96,7 +96,3 @@ class SplittingLine(PreconditionError):
 
 class SizeBound(DiscforgeError):
     """Configuration exceeds the enumeration size bound."""
-
-
-class NoChain(DiscforgeError):
-    """No support chain of the required length exists."""

@@ -9,7 +9,6 @@ transforms, and canonical bases make equal lattices compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -64,24 +63,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_lists()!r})"
-
-
-@dataclass(frozen=True)
-class LatticeBasis:
-    """Canonical basis of a sublattice of Z^ambient.
-
-    ``vectors`` are the rows of the Hermite normal form of any generating
-    set, so two equal lattices always produce identical objects.
-    """
-
-    ambient: int
-    vectors: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def matrix(self) -> IntMatrix:
-        return IntMatrix(self.vectors)
 
 
 def bareiss(rows) -> tuple[int, int, object]:
@@ -148,14 +129,6 @@ def echelon_extend(basis: tuple, vec) -> tuple:
         return basis
     g = gcd(*v)
     return basis + ((piv, tuple(x // g for x in v)),)
-
-
-def det(m: IntMatrix) -> int:
-    """Determinant of a square matrix, fraction-free."""
-    if m.rows != m.cols:
-        raise ValueError("determinant requires a square matrix")
-    r, sign, last = bareiss(m.data)
-    return sign * last if r == m.rows else 0
 
 
 def row_hermite_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -225,8 +198,9 @@ def _pivot_columns(h: IntMatrix) -> list[int]:
     return cols
 
 
-def kernel_lattice_basis(m: IntMatrix) -> LatticeBasis:
-    """Canonical basis of the saturated integer kernel {v : M v = 0}.
+def kernel_lattice_basis(m: IntMatrix) -> IntMatrix:
+    """Canonical basis of the saturated integer kernel {v : M v = 0}, as
+    the rows of its Hermite normal form, so equal kernels compare equal.
 
     Computed through the unimodular transform of the Hermite form of M^T:
     the transform rows aligned with zero rows of the echelon form span all
@@ -234,10 +208,7 @@ def kernel_lattice_basis(m: IntMatrix) -> LatticeBasis:
     """
     h, u = row_hermite_transform(m.transpose())
     vecs = [u.row(i) for i in range(h.rows) if not any(h.row(i))]
-    if not vecs:
-        return LatticeBasis(m.cols, ())
-    canon = row_hermite(IntMatrix(vecs))
-    return LatticeBasis(m.cols, canon.data)
+    return row_hermite(IntMatrix(vecs))
 
 
 def lattice_index(c: IntMatrix) -> int:

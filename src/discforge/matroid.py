@@ -125,15 +125,28 @@ def closure(cfg: GaleConfiguration, indices) -> Flat:
 
 def covering_flats(cfg: GaleConfiguration, flat: Flat) -> list[Flat]:
     """The flats one rank above ``flat`` that contain it, ordered by index
-    tuple: each is the closure of the flat plus one row outside it."""
+    tuple: each is the closure of the flat plus one row outside it.
+
+    The flat's basis is built once and extended by each row i that no
+    earlier cover holds.  Two covers meet only in the flat, and an
+    uncovered row before i would have started a cover of its own, so
+    only the uncovered rows from i on are tested."""
+    base = _basis(cfg, flat.indices)
     covers = []
     covered = set(flat.indices)
     for i in range(cfg.n):
         if i not in covered:
-            cover = closure(cfg, flat.indices + (i,))
-            covers.append(cover)
-            # every other new row of the cover closes to it again
-            covered.update(cover.indices)
+            basis = echelon_extend(base, cfg.row(i))
+            new = [
+                j
+                for j in range(i, cfg.n)
+                if j not in covered and echelon_extend(basis, cfg.row(j)) is basis
+            ]
+            covered.update(new)
+            members = sorted(flat.indices + tuple(new))
+            covers.append(
+                Flat(indices=tuple(members), rank=len(basis), sigma=cfg.sigma(members))
+            )
     return sorted(covers, key=lambda fl: fl.indices)
 
 

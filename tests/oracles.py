@@ -24,8 +24,9 @@ and every saturated support chain is ranked in full.  Flats of a given
 rank come from closing every subset of that size, and complementary
 planes from a scan over row pairs.
 
-The lattice index is the gcd of every maximal minor, and Horn-Kapranov
-points (B lam) * t^A give coefficient vectors on the discriminant of any
+The lattice index is the gcd of every maximal minor (determinants from
+the shared Bareiss elimination), and Horn-Kapranov points
+(B lam) * t^A give coefficient vectors on the discriminant of any
 non-defect configuration, whichever route computed it.
 """
 
@@ -44,8 +45,8 @@ from discforge.config import (
 )
 from discforge.lattice import (
     IntMatrix,
+    bareiss,
     clear_denominators,
-    det,
     rank,
     rational_nullspace,
 )
@@ -147,6 +148,14 @@ def codim1_oracle(b) -> SparsePolynomial:
                     return cand.normalize()
                 break
     raise RuntimeError(f"no discriminant of degree <= {MAX_DEGREE} found for {b}")
+
+
+def det(m: IntMatrix) -> int:
+    """Determinant of a square matrix, fraction-free."""
+    if m.rows != m.cols:
+        raise ValueError("determinant requires a square matrix")
+    r, sign, last = bareiss(m.data)
+    return sign * last if r == m.rows else 0
 
 
 def oracle_lattice_index(c: IntMatrix) -> int:

@@ -1,7 +1,10 @@
 """Defect classification, dual dimension, support lattices, rho bound."""
 
+import time
+
 import pytest
 
+import discforge.defect
 from discforge.config import (
     GaleConfiguration,
     PointConfiguration,
@@ -153,6 +156,21 @@ def test_support_lattice_size_bound(monkeypatch, twisted_cubic):
     monkeypatch.setenv(SIZE_BOUND_ENV, "3")
     with pytest.raises(SizeBound):
         support_lattice(twisted_cubic)
+
+
+def test_dual_dim_size_bound_precedes_enumeration(monkeypatch, twisted_cubic):
+    def no_enumeration(*args):
+        raise AssertionError("flats enumerated before the size check")
+
+    monkeypatch.setattr(discforge.defect, "covering_flats", no_enumeration)
+    monkeypatch.delenv(SIZE_BOUND_ENV, raising=False)
+    start = time.perf_counter()
+    with pytest.raises(SizeBound, match="n <= 12"):
+        dual_variety_dim(cayley([segment(2), segment(2), segment(3), segment(3)]))
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.setenv(SIZE_BOUND_ENV, "3")
+    with pytest.raises(SizeBound, match="n <= 3"):
+        dual_variety_dim(twisted_cubic)
 
 
 def test_size_bound_env(monkeypatch):

@@ -3,13 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import oracle_lattice_index
+from oracles import det, oracle_lattice_index
 
 from discforge.errors import DegenerateDual, NotInSpan, ParseError
 from discforge.lattice import (
     IntMatrix,
     clear_denominators,
-    det,
     echelon_extend,
     integer_solve,
     kernel_lattice_basis,
@@ -106,13 +105,13 @@ def test_row_hermite_canonical_shape():
 def test_kernel_lattice_twisted_cubic():
     a = IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3]])
     basis = kernel_lattice_basis(a)
-    assert len(basis.vectors) == 2
-    for v in basis.vectors:
+    assert len(basis.data) == 2
+    for v in basis.data:
         assert all(
             sum(a.row(i)[j] * v[j] for j in range(4)) == 0 for i in range(2)
         )
     # saturated: the basis generates the full integer kernel
-    b = IntMatrix([list(v) for v in basis.vectors]).transpose()
+    b = IntMatrix([list(v) for v in basis.data]).transpose()
     assert lattice_index(b) == 1
 
 
@@ -120,7 +119,7 @@ def test_kernel_respects_known_vector():
     # (1,-2,1) spans the kernel of the quadratic configuration
     a = IntMatrix([[1, 1, 1], [0, 1, 2]])
     basis = kernel_lattice_basis(a)
-    assert list(basis.vectors) == [(1, -2, 1)]
+    assert list(basis.data) == [(1, -2, 1)]
 
 
 def test_lattice_index():

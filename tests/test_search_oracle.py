@@ -1,12 +1,13 @@
-"""The memoized flag search, the incremental support-chain search, the
-level walk of flats and the flat-based plane split against the plain
-exhaustive searches in ``oracles``."""
+"""The memoized flag search, the dual dimension over flags of flats, the
+flat covers and their level walk, and the flat-based plane split against
+the plain exhaustive searches in ``oracles``."""
 
 import pytest
 from conftest import SEVEN_ROWS
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    oracle_closure,
     oracle_complementary_planes,
     oracle_dual_variety_dim,
     oracle_flag_search,
@@ -30,7 +31,12 @@ from discforge.defect import (
     support_lattice,
 )
 from discforge.lattice import IntMatrix, rank
-from discforge.matroid import find_nonsplitting_flag, flats_of_rank, reduce
+from discforge.matroid import (
+    covering_flats,
+    find_nonsplitting_flag,
+    flats_of_rank,
+    reduce,
+)
 
 
 def _agree_planes(red: GaleConfiguration) -> None:
@@ -40,12 +46,25 @@ def _agree_planes(red: GaleConfiguration) -> None:
         assert _complementary_planes(red) == oracle_complementary_planes(red)
 
 
+def _agree_flats(b: GaleConfiguration) -> None:
+    for k in range(rank(b.matrix) + 1):
+        flats = flats_of_rank(b, k)
+        assert flats == oracle_flats_of_rank(b, k)
+        for fl in flats:
+            closures = (
+                oracle_closure(b, fl.indices + (i,))
+                for i in range(b.n)
+                if i not in fl.indices
+            )
+            distinct = {c.indices: c for c in closures}
+            assert covering_flats(b, fl) == [distinct[key] for key in sorted(distinct)]
+
+
 def _agree(a: PointConfiguration) -> None:
     b = gale_dual(a)
     assert find_nonsplitting_flag(b, b.m - 1) == oracle_flag_search(b, b.m - 1)
     assert dual_variety_dim(a) == oracle_dual_variety_dim(a)
-    for k in range(rank(b.matrix) + 1):
-        assert flats_of_rank(b, k) == oracle_flats_of_rank(b, k)
+    _agree_flats(b)
     lat = support_lattice(a)
     assert (lat.elements, lat.height, lat.covers) == oracle_support_lattice(a)
     _agree_planes(reduce(b).config)
@@ -100,3 +119,10 @@ rank4_rows = st.lists(
 @given(rank4_rows)
 def test_plane_split_matches_pair_scan(rows):
     _agree_planes(reduce(GaleConfiguration(rows)).config)
+
+
+# zero, repeated and parallel rows, which the planar duals never have
+@settings(max_examples=60, deadline=None)
+@given(rank4_rows)
+def test_flats_and_covers_of_degenerate_rows_match_oracle(rows):
+    _agree_flats(GaleConfiguration(rows))
