@@ -289,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--size-bound",
         type=int,
-        help=f"override the support-chain bound (also via {SIZE_BOUND_ENV})",
+        help="largest n for the dimension walk and the support lattice "
+        f"(also via {SIZE_BOUND_ENV})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -370,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved_bound = os.environ.get(SIZE_BOUND_ENV)
     try:
         if args.size_bound is not None:
             if args.size_bound < 0:
@@ -385,6 +387,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # --size-bound holds for this call only, not for later library calls
+        if saved_bound is None:
+            os.environ.pop(SIZE_BOUND_ENV, None)
+        else:
+            os.environ[SIZE_BOUND_ENV] = saved_bound
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ complete flags of flats of the Gale dual.
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass, field
 
@@ -19,8 +18,6 @@ from .config import (
     PointConfiguration,
     cayley,
     gale_dual,
-    is_homogeneous,
-    is_pyramid,
     segment,
 )
 from .errors import (
@@ -48,7 +45,8 @@ DEFAULT_SIZE_BOUND = 12
 
 
 def size_bound() -> int:
-    """The support-enumeration bound: DISCFORGE_SIZE_BOUND, default 12.
+    """The largest n that the dimension walk and the support lattice
+    accept: DISCFORGE_SIZE_BOUND, default 12.
 
     A value that is not a non-negative integer raises ParseError.
     """
@@ -116,13 +114,13 @@ def is_dual_defect(cfg: GaleConfiguration) -> DefectReport:
             defect=False, method="codim-one", witness={"kind": "flag", "flats": []}
         )
     red = reduce(cfg)
-    if rank(red.config.matrix) < m:
+    if red.config.rank < m:
         return DefectReport(
             defect=True,
             method="degenerate",
             witness={
                 "kind": "degenerate",
-                "reduced_rank": rank(red.config.matrix),
+                "reduced_rank": red.config.rank,
                 "rank": m,
                 "reduced_rows": red.config.matrix.to_lists(),
             },
@@ -219,29 +217,26 @@ def support_lattice(cfg: PointConfiguration) -> SupportLattice:
 def dual_variety_dim(cfg: PointConfiguration) -> int:
     """Dimension of the dual variety over flags of flats.
 
-    Maximizes rank(A^T | 1_F1 | ... | 1_F(m-1)) - 1 over complete flags
-    F1 < ... < F(m-1) of flats of the Gale dual, walked depth first up
-    ``covering_flats`` from the rank-0 flat.  A is homogeneous, so A^T
-    spans the all-ones vector and each 1_F may stand for the support
-    indicator 1 - 1_F of the complementary support chain.
+    Equals n - m - 1 plus the largest rank of (sigma_F1, ..., sigma_F(m-1))
+    over complete flags F1 < ... < F(m-1) of flats of the Gale dual B,
+    walked depth first up ``covering_flats`` from the rank-0 flat.  This
+    is rank(A^T | 1_F1 | ... | 1_F(m-1)) - 1: B^T kills the row span of A,
+    which has rank n - m, and sends each indicator 1_F to sigma_F.
     """
-    if not is_homogeneous(cfg):
+    b = gale_dual(cfg)
+    # ker B^T is the row span of A, so it holds (1, ..., 1) when B's rows
+    # sum to zero; n = d leaves B without columns, a pyramid by convention
+    if not b.is_homogeneous():
         raise NotHomogeneous("dual dimension formula needs a homogeneous input")
-    if is_pyramid(cfg):
+    if b.m == 0 or b.zero_rows():
         raise PyramidInput("pyramids have degenerate duals; no dimension computed")
     _check_size(cfg)
-    b = gale_dual(cfg)
     m = b.m
-    if m == 1:
-        return rank(cfg.matrix) - 1
-    # column basis of (A^T | 1_F1 | ...), one reduction per flag step;
-    # its n - 1 = rank(A) + m - 1 columns bound every flag's rank
-    top = cfg.n - 1
     best = -1
     # each flat's covers are computed once, since a flat lies on every
-    # flag through it, and shared as one (flat, indicator) node per flat
+    # flag through it, and shared as one Flat per distinct flat
     ups: dict[tuple[int, ...], list] = {}
-    nodes: dict[tuple[int, ...], tuple] = {}
+    nodes: dict[tuple[int, ...], object] = {}
 
     def dfs(flat, basis):
         nonlocal best
@@ -250,17 +245,14 @@ def dual_variety_dim(cfg: PointConfiguration) -> int:
             return
         if flat.indices not in ups:
             ups[flat.indices] = [
-                nodes.setdefault(
-                    c.indices, (c, [int(i in c.indices) for i in range(cfg.n)])
-                )
-                for c in covering_flats(b, flat)
+                nodes.setdefault(c.indices, c) for c in covering_flats(b, flat)
             ]
-        for cover, ind in ups[flat.indices]:
-            if best < top:
-                dfs(cover, echelon_extend(basis, ind))
+        for cover in ups[flat.indices]:
+            if best < m - 1:
+                dfs(cover, echelon_extend(basis, cover.sigma))
 
-    dfs(closure(b, ()), functools.reduce(echelon_extend, cfg.matrix.data, ()))
-    return best - 1
+    dfs(closure(b, ()), ())
+    return cfg.n - m - 1 + best
 
 
 @dataclass(frozen=True)

@@ -176,7 +176,7 @@ def horn_implicitize_rank2(cfg: GaleConfiguration) -> SparsePolynomial:
     if cfg.index != 1:
         raise NonPrimitive("dual columns must span a saturated lattice")
     red = matroid_reduce(cfg)
-    if rank(red.config.matrix) < 2:
+    if red.config.rank < 2:
         raise KernelDimensionNotOne(
             "degenerate configuration; the map image is not a curve"
         )
@@ -423,7 +423,7 @@ def _disc_b(b: GaleConfiguration) -> DiscriminantResult:
         final = contract(glued)
         method = "glue-extended"
     else:
-        final = glued.normalize()
+        final = glued
         method = "glue-splitting"
     return DiscriminantResult(
         poly=final,

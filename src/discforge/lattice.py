@@ -142,7 +142,6 @@ def row_hermite_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     a = [list(r) for r in m.data]
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     r = 0
-    pivots: list[int] = []
     for c in range(nc):
         if r == nr:
             break
@@ -178,7 +177,6 @@ def row_hermite_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                     a[i][j] -= q * a[r][j]
                 for j in range(nr):
                     u[i][j] -= q * u[r][j]
-        pivots.append(c)
         r += 1
     return IntMatrix(a), IntMatrix(u)
 

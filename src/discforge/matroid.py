@@ -19,7 +19,7 @@ from .errors import (
     NotIrreducible,
     PyramidInput,
 )
-from .lattice import IntMatrix, echelon_extend, integer_solve, rank, row_hermite
+from .lattice import IntMatrix, echelon_extend, integer_solve, row_hermite
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def flats_by_rank(cfg: GaleConfiguration, top: int) -> list[list[Flat]]:
 
 def flats_of_rank(cfg: GaleConfiguration, k: int) -> list[Flat]:
     """All rank-k flats, ordered by index tuple."""
-    if k < 0 or k > rank(cfg.matrix):
+    if k < 0 or k > cfg.rank:
         raise ValueError("flat rank out of range")
     return flats_by_rank(cfg, k)[k]
 
@@ -264,7 +264,7 @@ def decompose(cfg: GaleConfiguration, is_defect) -> Decomposition:
             IntMatrix([cfg.row(i) for i in remaining]),
             labels=[cfg.labels[i] for i in remaining],
         )
-        levels = flats_by_rank(sub, rank(sub.matrix))
+        levels = flats_by_rank(sub, sub.rank)
         found = next(
             (
                 fl

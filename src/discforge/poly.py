@@ -58,10 +58,6 @@ class SparsePolynomial:
         return cls(n, {(0,) * n: c})
 
     @classmethod
-    def monomial(cls, n: int, exps, c: int = 1) -> "SparsePolynomial":
-        return cls(n, {tuple(exps): c})
-
-    @classmethod
     def variable(cls, n: int, i: int) -> "SparsePolynomial":
         e = [0] * n
         e[i] = 1
@@ -75,19 +71,8 @@ class SparsePolynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
-    def constant_value(self) -> int:
-        if not self.terms:
-            return 0
-        [(e, c)] = self.terms.items()
-        if any(e):
-            raise ValueError("polynomial is not constant")
-        return c
-
     def is_one(self) -> bool:
-        return self.is_constant() and self.constant_value() == 1
+        return self.terms == {(0,) * self.n: 1}
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)

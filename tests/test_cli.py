@@ -1,12 +1,14 @@
 """Command line: worked examples, formats, exit codes, round trips."""
 
 import json
+import os
 
 import pytest
 
 import discforge.defect
 from discforge.cli import main
-from discforge.defect import SIZE_BOUND_ENV
+from discforge.config import PointConfiguration
+from discforge.defect import SIZE_BOUND_ENV, dual_variety_dim
 from discforge.matroid import Flat
 from discforge.poly import poly_from_json_dict
 
@@ -304,6 +306,17 @@ def test_size_bound_flag(monkeypatch, capsys):
     rc, _, err = run(capsys, ["--size-bound", "3", "dualdim", "--matrix", CUBIC])
     assert rc == 3
     assert "SizeBound" in err
+
+
+def test_size_bound_flag_does_not_outlive_the_call(monkeypatch, capsys):
+    # set first so that monkeypatch restores the original state even if
+    # main leaks the flag into the environment
+    monkeypatch.setenv(SIZE_BOUND_ENV, "12")
+    monkeypatch.delenv(SIZE_BOUND_ENV)
+    rc, _, err = run(capsys, ["--size-bound", "2", "dualdim", "--matrix", CUBIC])
+    assert rc == 3 and "SizeBound" in err
+    assert SIZE_BOUND_ENV not in os.environ
+    assert dual_variety_dim(PointConfiguration(json.loads(CUBIC))) == 2
 
 
 def test_size_bound_env(monkeypatch, capsys):

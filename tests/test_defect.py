@@ -191,6 +191,9 @@ def test_dual_dim_errors():
         dual_variety_dim(
             PointConfiguration([[1, 1, 1, 0], [0, 1, 2, 0], [0, 0, 0, 1]])
         )
+    # n = d: the Gale dual is empty
+    with pytest.raises(PyramidInput):
+        dual_variety_dim(PointConfiguration([[1, 0], [0, 1]]))
 
 
 def test_rho_bound_three_squares(cay222):

@@ -74,6 +74,10 @@ NAMED = {
     "cayley-2-2-2": cayley([segment(2), segment(2), segment(2)]),
     "seven-point": dual_of(GaleConfiguration(SEVEN_ROWS)),
     "twisted-cubic": PointConfiguration([[1, 1, 1, 1], [0, 1, 2, 3]]),
+    # m = 1, where the walk's root already has rank m - 1
+    "quadratic": PointConfiguration([[1, 1, 1], [0, 1, 2]]),
+    # m = 5 and not defect, so the walk stops once a flag reaches rank m - 1
+    "rational-normal-curve-6": PointConfiguration([[1] * 7, list(range(7))]),
     **dict(dirocco_fixtures()),
 }
 
