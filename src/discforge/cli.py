@@ -54,7 +54,7 @@ def _load_matrix(args) -> IntMatrix:
             raise ParseError(f"cannot read {args.file}: {exc}") from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON matrix: {exc}") from exc
     if isinstance(data, dict):
         if "matrix" not in data:
@@ -87,7 +87,7 @@ def _engine_input(args):
 def _parse_point(raw: str) -> list[Fraction]:
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid point: {exc}") from exc
     if not isinstance(data, list):
         raise ParseError("point must be a JSON list")

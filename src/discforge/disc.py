@@ -38,7 +38,6 @@ from .errors import (
 )
 from .lattice import (
     IntMatrix,
-    clear_denominators,
     integer_solve,
     rank,
     rational_nullspace,
@@ -159,11 +158,12 @@ def horn_implicitize_rank2(cfg: GaleConfiguration) -> SparsePolynomial:
 
     The Horn parametrization is birational (Kapranov), so the curve's
     degree D is its number of poles: each row of the reduced
-    configuration contributes max(0, -b_1, -b_2).  One exact nullspace
-    over the monomials of degree <= D at D^2 + 1 distinct curve points
-    gives the equation: by Bezout every kernel vector contains the
-    irreducible curve, so the kernel must be one-dimensional.  Curves of
-    degree above MAX_CURVE_DEGREE raise Unsupported before any sampling.
+    configuration contributes max(0, -b_1, -b_2).  One integer nullspace
+    over the monomials of degree <= D at D^2 + 1 distinct curve points,
+    sampled at t = 1, -1, 2, -2, ..., gives the equation: by Bezout
+    every kernel vector contains the irreducible curve, so the kernel
+    must be one-dimensional.  Curves of degree above MAX_CURVE_DEGREE
+    raise Unsupported before any sampling.
     """
     if cfg.m != 2:
         raise ValueError("implicitization requires codimension 2")
@@ -186,11 +186,12 @@ def horn_implicitize_rank2(cfg: GaleConfiguration) -> SparsePolynomial:
             f"Horn curve of degree {deg}; implicitization stops at degree "
             f"{MAX_CURVE_DEGREE}"
         )
-    # a nonconstant rational map takes each value finitely often
+    # a nonconstant rational map takes each value finitely often; t runs
+    # 1, -1, 2, -2, ... so the samples stay small
     samples: dict[tuple[Fraction, ...], None] = {}
     t = 0
     while len(samples) < deg * deg + 1:
-        t += 1
+        t = -t if t > 0 else 1 - t
         try:
             samples[horn_eval(cfg, (t, 1))] = None
         except OnExceptionalLocus:
@@ -203,9 +204,8 @@ def horn_implicitize_rank2(cfg: GaleConfiguration) -> SparsePolynomial:
         raise KernelDimensionNotOne(
             f"interpolation kernel has dimension {len(kernel)} at degree {deg}"
         )
-    coeffs = clear_denominators(kernel[0])
     return SparsePolynomial(
-        2, {monos[i]: c for i, c in enumerate(coeffs) if c}
+        2, {monos[i]: c for i, c in enumerate(kernel[0]) if c}
     ).normalize()
 
 

@@ -1,10 +1,11 @@
 """Exact integer and rational linear algebra.
 
 Everything here runs over Python ints and ``fractions.Fraction``; no floats
-anywhere.  Determinants and ranks use fraction-free Bareiss elimination,
-span-membership tests grow a fraction-free echelon basis row by row,
-lattice computations use row-style Hermite normal form with unimodular
-transforms, and canonical bases make equal lattices compare equal.
+anywhere.  Determinants, ranks and rational nullspaces use one
+fraction-free Bareiss elimination, span-membership tests grow a
+fraction-free echelon basis row by row, lattice computations use
+row-style Hermite normal form with unimodular transforms, and canonical
+bases make equal lattices compare equal.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import DegenerateDual, NotInSpan, ParseError
+from .errors import DegenerateDual, DiscforgeError, NotInSpan, ParseError
 
 
 class IntMatrix:
@@ -65,16 +66,18 @@ class IntMatrix:
         return f"IntMatrix({self.to_lists()!r})"
 
 
-def bareiss(rows) -> tuple[int, int, object]:
+def bareiss(rows) -> tuple[int, int, object, list, list[int]]:
     """Fraction-free Gaussian elimination over an exact integral domain.
 
     Works on ints, and on any ring element type with ``*``, ``-``, an
     exact ``//`` and truth testing for nonzero.  Pivots are the first
     nonzero entry of each column at or below the current row.  Returns
-    (rank, sign, last pivot): sign is (-1)^(row swaps), and the last
-    pivot is the minor on the pivot rows and columns, 1 when the rank is
-    0.  For a square matrix of full rank, sign * last pivot is the
-    determinant.
+    (rank, sign, last pivot, echelon rows, pivot columns): sign is
+    (-1)^(row swaps), and the last pivot is the minor on the pivot rows
+    and columns, 1 when the rank is 0.  For a square matrix of full rank,
+    sign * last pivot is the determinant.  Echelon row k holds, in column
+    j, the minor on the first k + 1 pivot rows and the columns of the
+    first k pivots and j; the eliminated columns hold int 0.
     """
     a = [list(r) for r in rows]
     nr = len(a)
@@ -82,6 +85,7 @@ def bareiss(rows) -> tuple[int, int, object]:
     r = 0
     sign = 1
     prev = 1
+    pivots: list[int] = []
     for c in range(nc):
         if r == nr:
             break
@@ -93,15 +97,19 @@ def bareiss(rows) -> tuple[int, int, object]:
             sign = -sign
         top = a[r]
         p = top[c]
-        # column c below the pivot is never read again, so it is not zeroed
+        # new rows, so no eliminated entry keeps its old value alive
+        zeros = [0] * (c + 1)
+        tail = top[c + 1 :]
         for i in range(r + 1, nr):
             row = a[i]
             f = row[c]
-            for j in range(c + 1, nc):
-                row[j] = (p * row[j] - f * top[j]) // prev
+            a[i] = zeros + [
+                (p * x - f * y) // prev for x, y in zip(row[c + 1 :], tail)
+            ]
+        pivots.append(c)
         prev = p
         r += 1
-    return r, sign, prev
+    return r, sign, prev, a[:r], pivots
 
 
 def rank(m: IntMatrix) -> int:
@@ -264,53 +272,40 @@ def smallest_multiplier(rows: IntMatrix, w) -> int:
     return lcm(*(q.denominator for q in y))
 
 
-def rational_nullspace(rows) -> list[tuple[Fraction, ...]]:
+def rational_nullspace(rows) -> list[tuple[int, ...]]:
     """Basis of the rational nullspace {v : M v = 0} of a matrix.
 
-    Accepts any nested iterable of ints or Fractions; plain Gauss-Jordan
-    over Fraction.  Returned vectors have a 1 in their free coordinate.
+    Accepts any nested iterable of ints or Fractions; each row is scaled
+    to integers by the lcm of its denominators and eliminated by
+    ``bareiss``.  For each free column f, v[f] is the last pivot d, the
+    other free coordinates are 0, and back-substitution fills the pivot
+    coordinates: by Cramer's rule each is a minor of the integer matrix,
+    so every division is exact.  Returned vectors are primitive integer
+    vectors, positive in their free coordinate.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
+    a = []
+    for row in rows:
+        row = list(row)
+        mult = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (mult // x.denominator) for x in row])
     if not a:
         return []
     nc = len(a[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(nc) if c not in pivots]
+    r, _, d, ech, pivots = bareiss(a)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        for j, c in enumerate(pivots):
-            v[c] = -a[j][f]
-        basis.append(tuple(v))
+    for f in range(nc):
+        if f in pivots:
+            continue
+        v = [0] * nc
+        v[f] = d
+        for k in range(r - 1, -1, -1):
+            row = ech[k]
+            c = pivots[k]
+            s = -sum(row[j] * v[j] for j in range(c + 1, nc) if v[j])
+            q, rem = divmod(s, row[c])
+            if rem:
+                raise DiscforgeError("nullspace back-substitution is not exact")
+            v[c] = q
+        g = gcd(*v) if d > 0 else -gcd(*v)
+        basis.append(tuple(x // g for x in v))
     return basis
-
-
-def clear_denominators(vec) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector.
-
-    The sign convention keeps the first nonzero coordinate's sign.
-    """
-    fracs = [Fraction(x) for x in vec]
-    mult = lcm(*[f.denominator for f in fracs]) if fracs else 1
-    ints = [int(f * mult) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)

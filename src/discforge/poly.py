@@ -487,7 +487,7 @@ def resultant_u(f: UniPoly, g: UniPoly) -> SparsePolynomial:
         for k in range(dg + 1):
             row[i + k] = g.coeff(dg - k)
         rows.append(row)
-    r, sign, last = bareiss(rows)
+    r, sign, last, _, _ = bareiss(rows)
     if r < size:
         return zero
     return -last if sign < 0 else last

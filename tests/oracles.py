@@ -3,8 +3,9 @@ exhaustive searches behind dual-defect verdicts and dual dimensions.
 
 Reconstructs the discriminant of a single dual vector b from first
 principles, bypassing the closed binomial expression, the Horn map and
-the gluing machinery entirely.  The only shared code is generic exact
-linear algebra.
+the gluing machinery entirely.  Its kernels come from a plain Fraction
+Gauss-Jordan elimination kept here, so it shares no elimination code
+with the library.
 
 Derivation: build an explicit point configuration A dual to b.  For any
 torus point x and the coefficient choice c_j = b_j / x^{a_j}, the vector
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import gcd
+from math import gcd, lcm
 
 from discforge.config import (
     GaleConfiguration,
@@ -43,13 +44,7 @@ from discforge.config import (
     gale_dual,
     standard_form,
 )
-from discforge.lattice import (
-    IntMatrix,
-    bareiss,
-    clear_denominators,
-    rank,
-    rational_nullspace,
-)
+from discforge.lattice import IntMatrix, bareiss, rank
 from discforge.matroid import Flat
 from discforge.poly import SparsePolynomial
 
@@ -112,6 +107,60 @@ def _evaluate_monomial(e, c) -> Fraction:
     return v
 
 
+def oracle_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fraction by plain Gauss-Jordan: the
+    nonzero rows, each with a 1 at its pivot, and the pivot columns."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    nc = len(a[0]) if a else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def oracle_nullspace(rows) -> list[tuple[Fraction, ...]]:
+    """Basis of {v : M v = 0} from the reduced row echelon form: one
+    vector per free column, with a 1 there and 0 at the other free
+    columns.  An empty matrix has an empty basis."""
+    rows = [list(row) for row in rows]
+    if not rows:
+        return []
+    nc = len(rows[0])
+    red, pivots = oracle_rref(rows)
+    basis = []
+    for f in range(nc):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * nc
+        v[f] = Fraction(1)
+        for j, c in enumerate(pivots):
+            v[c] = -red[j][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def clear_denominators(vec) -> tuple[int, ...]:
+    """Scale a rational vector to a primitive integer vector, keeping the
+    sign of its first nonzero coordinate."""
+    fracs = [Fraction(x) for x in vec]
+    mult = lcm(*[f.denominator for f in fracs])
+    ints = [int(f * mult) for f in fracs]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
 def codim1_oracle(b) -> SparsePolynomial:
     """Discriminant of the dual vector b, from critical samples alone."""
     b = tuple(b)
@@ -130,7 +179,7 @@ def codim1_oracle(b) -> SparsePolynomial:
                 rows = [
                     [_evaluate_monomial(e, c) for e in fiber] for c in samples
                 ]
-                kernel = rational_nullspace(rows)
+                kernel = oracle_nullspace(rows)
                 if not kernel:
                     break
                 if len(kernel) > 1:
@@ -154,7 +203,7 @@ def det(m: IntMatrix) -> int:
     """Determinant of a square matrix, fraction-free."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
-    r, sign, last = bareiss(m.data)
+    r, sign, last, _, _ = bareiss(m.data)
     return sign * last if r == m.rows else 0
 
 

@@ -263,6 +263,18 @@ def test_parse_errors(capsys):
         assert "ParseError" in err
 
 
+def test_deeply_nested_json_is_a_parse_error(capsys):
+    # deeper than the JSON decoder's recursion limit
+    deep = "[" * 5000 + "]" * 5000
+    for argv in (
+        ["gale", "--matrix", deep],
+        ["member", "--matrix", "[[1,1,1],[0,1,2]]", "--point", deep],
+    ):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert "ParseError" in err
+
+
 def test_matrix_from_file(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text('{"matrix": [[1,1,1],[0,1,2]]}')

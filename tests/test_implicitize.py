@@ -2,7 +2,9 @@
 
 The degree of the Horn curve is its number of poles, one count per dual
 row, so it is known before any sampling; the discriminant built from the
-curve must vanish on the Horn-Kapranov uniformization.
+curve must vanish on the Horn-Kapranov uniformization.  So must the
+glued discriminants of rank-2 duals with one collinear class, whose
+inner factor is an implicitized curve.
 """
 
 from fractions import Fraction
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from oracles import horn_kapranov_point, oracle_lattice_index
 
 from discforge.config import GaleConfiguration, dual_of
+from discforge.defect import is_dual_defect
 from discforge.disc import discriminant, horn_implicitize_rank2
 from discforge.errors import Unsupported
 from discforge.lattice import IntMatrix
@@ -63,6 +66,69 @@ def test_curve_degree_is_the_pole_count(rows, data):
         # a zero coordinate is off the torus; the discriminant need not vanish
         if all(c):
             assert result.poly.evaluate(c) == 0
+
+
+def _directions():
+    return st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any).map(_line)
+
+
+@st.composite
+def glue_rank2_rows(draw):
+    """Rank-2 duals of index 1 with one collinear class, a pair on the
+    line of w, among rows on distinct other lines.  The class sum is zero
+    (the pair b, -b; route glue-splitting, inner dual the other rows) or
+    not (route glue-extended, inner dual the other rows and the class
+    sum).  The inner dual has at least four rows, index 1 and curve
+    degree at most 6."""
+    splitting = draw(st.booleans())
+    w = draw(_directions())
+    if splitting:
+        betas = (1, -1)
+    else:
+        betas = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, -1), (-1, 2)]))
+    pair = [tuple(b * x for x in w) for b in betas]
+    sigma = (pair[0][0] + pair[1][0], pair[0][1] + pair[1][1])
+    entry = st.integers(-2, 2)
+    vectors = st.tuples(entry, entry).filter(lambda v: any(v) and _line(v) != w)
+    k = draw(st.integers(3, 4)) if splitting else draw(st.integers(2, 3))
+    rest = draw(st.lists(vectors, min_size=k, max_size=k, unique_by=_line))
+    # the last other row balances the sum
+    rest.append((-sum(r[0] for r in rest) - sigma[0], -sum(r[1] for r in rest) - sigma[1]))
+    inner = rest + ([] if splitting else [sigma])
+    assume(any(rest[-1]) and len({_line(r) for r in rest + [w]}) == len(rest) + 1)
+    assume(oracle_lattice_index(IntMatrix(inner)) == 1)
+    assume(pole_count(inner) <= 6)
+    rows = rest + pair
+    assume(oracle_lattice_index(IntMatrix(rows)) == 1)
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], ("glue-splitting" if splitting else "glue-extended")
+
+
+@settings(max_examples=25, deadline=None)
+@given(glue_rank2_rows(), st.data())
+def test_glued_discriminant_vanishes_on_the_uniformization(drawn, data):
+    rows, route = drawn
+    b = GaleConfiguration(rows)
+    assume(not is_dual_defect(b).defect)
+    result = discriminant(b)
+    assert result.provenance["method"] == route
+    assert result.provenance["inner"]["method"] == "implicitize"
+    a = dual_of(b).matrix
+    points = []
+    while len(points) < 3:
+        lam = data.draw(st.tuples(nonzero, nonzero))
+        t = data.draw(st.tuples(*[nonzero] * a.rows))
+        c = horn_kapranov_point(a, b.matrix, lam, t)
+        # a zero coordinate is off the torus; the discriminant need not vanish
+        if all(c):
+            points.append(c)
+    for c in points:
+        assert result.poly.evaluate(c) == 0
+    # off the uniformization, in a variable the discriminant involves
+    k = next(i for i in range(b.n) if any(e[i] for e in result.poly.terms))
+    c = list(points[0])
+    c[k] += Fraction(1, 7)
+    assert result.poly.evaluate(c) != 0
 
 
 def test_horn_kapranov_point_off_the_curve_is_detected():

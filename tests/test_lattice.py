@@ -1,14 +1,23 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import det, oracle_lattice_index
+from oracles import (
+    clear_denominators,
+    det,
+    oracle_lattice_index,
+    oracle_nullspace,
+    oracle_rref,
+)
 
-from discforge.errors import DegenerateDual, NotInSpan, ParseError
+import discforge.lattice
+from discforge.errors import DegenerateDual, DiscforgeError, NotInSpan, ParseError
 from discforge.lattice import (
     IntMatrix,
-    clear_denominators,
+    bareiss,
     echelon_extend,
     integer_solve,
     kernel_lattice_basis,
@@ -46,16 +55,38 @@ def test_rank_and_det():
     # a zero pivot forces a swap, and a later column has no pivot
     assert rank(IntMatrix([[0, 2, 4, 1], [3, 1, 2, 0], [6, 2, 4, 0]])) == 2
     assert rank(IntMatrix([[0, 0], [0, 5], [0, 7]])) == 1
+    # pivot columns agree with Gauss-Jordan over Fraction, and the rank
+    # is their number
+    rng = random.Random(5)
+    for _ in range(60):
+        nr, nc, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 3)
+        # random; rank-deficient products of an nr x k and a k x nc factor;
+        # a zero top-left entry, which forces a row swap
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nr)]
+        right = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(k)]
+        swap = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
+        swap[0][0] = 0
+        for rows in (
+            [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)],
+            [[sum(x * y for x, y in zip(lr, col)) for col in zip(*right)] for lr in left],
+            swap,
+        ):
+            r, _, _, ech, pivots = bareiss(rows)
+            assert pivots == oracle_rref(rows)[1]
+            assert r == len(pivots) == len(ech) == rank(IntMatrix(rows))
+            for row, c in zip(ech, pivots):
+                assert row[c] and not any(row[:c])
 
 
 @st.composite
-def row_sequences(draw):
+def row_sequences(draw, width=None, max_rows=7):
     """Small integer rows, mixing fresh rows with zero rows, repeats and
     integer combinations of earlier rows."""
-    width = draw(st.integers(1, 5))
+    if width is None:
+        width = draw(st.integers(1, 5))
     entry = st.integers(-3, 3)
     rows: list[tuple[int, ...]] = []
-    for _ in range(draw(st.integers(0, 7))):
+    for _ in range(draw(st.integers(0, max_rows))):
         kind = draw(st.sampled_from(["fresh", "zero", "repeat", "combo"]))
         if kind == "zero" or (kind != "fresh" and not rows):
             rows.append((0,) * width)
@@ -176,8 +207,63 @@ def test_smallest_multiplier():
 def test_rational_nullspace_and_clear():
     rows = [[Fraction(1), Fraction(2), Fraction(3)]]
     basis = rational_nullspace(rows)
-    assert len(basis) == 2
+    assert basis == [(-2, 1, 0), (-3, 0, 1)]
     for v in basis:
         assert sum(r * x for r, x in zip(rows[0], v)) == 0
+    # rows are cleared of denominators; the vector is positive at its free
+    # column, whatever the sign of the last pivot
+    assert rational_nullspace([[Fraction(1, 2), Fraction(-3, 4)]]) == [(3, 2)]
+    assert rational_nullspace([[-2, 3], [4, -6]]) == [(3, 2)]
+    assert rational_nullspace([[1, 0], [0, 1]]) == []
+    assert rational_nullspace([]) == []
     assert clear_denominators([Fraction(1, 2), Fraction(-3, 4)]) == (2, -3)
     assert clear_denominators([Fraction(2), Fraction(4)]) == (1, 2)
+
+
+def test_rational_nullspace_refuses_an_inexact_back_substitution(monkeypatch):
+    # an echelon form whose last pivot is not the pivot minor: 2 v0 + v1 = 0
+    # with v1 = 1 has no integer solution
+    monkeypatch.setattr(
+        discforge.lattice, "bareiss", lambda rows: (1, 1, 1, [[2, 1]], [0])
+    )
+    with pytest.raises(DiscforgeError, match="not exact"):
+        rational_nullspace([[2, 1]])
+
+
+@st.composite
+def nullspace_inputs(draw):
+    """Int or Fraction rows: fresh, zero, repeated and dependent rows,
+    zero columns, and as many as twice the width, or a single row."""
+    width = draw(st.integers(1, 5))
+    rows = draw(row_sequences(width, max_rows=2 * width + 1))
+    if not rows:
+        rows = [tuple(draw(st.lists(st.integers(-3, 3), min_size=width, max_size=width)))]
+    zero_col = draw(st.integers(-1, width - 1))
+    if zero_col >= 0:
+        rows = [r[:zero_col] + (0,) + r[zero_col + 1 :] for r in rows]
+    dens = st.integers(1, 4)
+    if draw(st.booleans()):
+        rows = [tuple(Fraction(x, draw(dens)) for x in r) for r in rows]
+    return rows
+
+
+@settings(max_examples=200)
+@given(nullspace_inputs())
+def test_rational_nullspace_matches_gauss_jordan(rows):
+    basis = rational_nullspace(rows)
+    expect = oracle_nullspace(rows)
+    assert len(basis) == len(expect)
+    for v in basis:
+        assert all(isinstance(x, int) for x in v)
+        assert any(v) and gcd(*v) == 1
+        assert all(sum(a * x for a, x in zip(r, v)) == 0 for r in rows)
+    # the same free columns, so each vector is the oracle's, made primitive
+    # and positive at its free column; both bases span one space
+    _, pivots = oracle_rref(rows)
+    free = [c for c in range(len(rows[0])) if c not in pivots]
+    cleared = [clear_denominators(w) for w in expect]
+    assert basis == [
+        tuple(x if w[f] > 0 else -x for x in w) for w, f in zip(cleared, free)
+    ]
+    if basis:
+        assert rank(IntMatrix(basis + cleared)) == len(basis)
