@@ -11,6 +11,7 @@ from .config import (
     cayley,
     dual_of,
     gale_dual,
+    gale_side,
     is_homogeneous,
     is_pyramid,
     segment,
@@ -84,6 +85,7 @@ __all__ = [
     "dual_variety_dim",
     "extend_plus_minus",
     "gale_dual",
+    "gale_side",
     "glue_resultant",
     "horn_eval",
     "horn_implicitize_rank2",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from .config import (
     cayley,
     dual_of,
     gale_dual,
-    is_homogeneous,
+    gale_side,
     segment,
     standard_form,
 )
@@ -37,7 +38,7 @@ from .disc import (
     discriminant,
     membership,
 )
-from .errors import DiscforgeError, ParseError
+from .errors import DiscforgeError, ParseError, SizeBound
 from .lattice import IntMatrix, lattice_index
 from .matroid import reduce as reduce_config
 from .poly import poly_to_json_dict
@@ -67,24 +68,17 @@ def _load_matrix(args) -> IntMatrix:
     return IntMatrix(data)
 
 
-def _side_b(m: IntMatrix, side: str) -> GaleConfiguration:
-    if side == "a":
-        return gale_dual(PointConfiguration(m))
-    return GaleConfiguration(m)
-
-
-def _side_a(m: IntMatrix, side: str) -> PointConfiguration:
-    if side == "a":
-        return PointConfiguration(m)
-    return dual_of(GaleConfiguration(m))
-
-
-def _engine_input(args):
+def _config(args):
+    """The matrix read as the side that --side names."""
     m = _load_matrix(args)
     return PointConfiguration(m) if args.side == "a" else GaleConfiguration(m)
 
 
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
+
 def _parse_point(raw: str) -> list[Fraction]:
+    """A JSON list of integers and "p/q" strings, q nonzero."""
     try:
         data = json.loads(raw)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -93,15 +87,13 @@ def _parse_point(raw: str) -> list[Fraction]:
         raise ParseError("point must be a JSON list")
     out = []
     for x in data:
-        if isinstance(x, bool) or isinstance(x, float):
-            raise ParseError("point entries must be integers or 'p/q' strings")
-        if isinstance(x, int):
+        if isinstance(x, int) and not isinstance(x, bool):
             out.append(Fraction(x))
-        elif isinstance(x, str):
+        elif isinstance(x, str) and _RATIONAL.fullmatch(x):
             try:
                 out.append(Fraction(x))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad rational {x!r}: {exc}") from exc
+            except ZeroDivisionError:
+                raise ParseError(f"bad rational {x!r}: zero denominator") from None
         else:
             raise ParseError("point entries must be integers or 'p/q' strings")
     return out
@@ -144,7 +136,7 @@ def cmd_dual(args) -> int:
         rows = ", ".join(str(i + 1) for i in b.zero_rows())
         print(f"warning: pyramid (zero dual row {rows})", file=sys.stderr)
     a = dual_of(b)
-    if is_homogeneous(a):
+    if b.is_homogeneous():
         a = standard_form(a)
     _emit(args, {"matrix": a.matrix.to_lists()}, _matrix_text(a.matrix))
     return 0
@@ -157,7 +149,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    res = reduce_config(_side_b(_load_matrix(args), args.side))
+    res = reduce_config(gale_side(_config(args)))
     obj = {
         "matrix": res.config.matrix.to_lists(),
         "merged": [[i + 1 for i in cls] for cls in res.merged],
@@ -169,13 +161,13 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_defect(args) -> int:
-    # both sides come from one read: a pipe such as /dev/stdin cannot be
-    # read twice
-    m = _load_matrix(args)
-    report = is_dual_defect(_side_b(m, args.side))
+    b = gale_side(_config(args))
+    report = is_dual_defect(b)
+    # once the verdict has accepted B, only the size bound can refuse
+    # the dimension walk
     try:
-        dim = dual_variety_dim(_side_a(m, args.side))
-    except DiscforgeError:
+        dim = dual_variety_dim(b)
+    except SizeBound:
         dim = None
     obj = {
         "defect": report.defect,
@@ -193,13 +185,13 @@ def cmd_defect(args) -> int:
 
 
 def cmd_dualdim(args) -> int:
-    dim = dual_variety_dim(_side_a(_load_matrix(args), args.side))
+    dim = dual_variety_dim(_config(args))
     _emit(args, {"dual_dim": dim}, str(dim))
     return 0
 
 
 def cmd_decompose(args) -> int:
-    rep = rho_bound(_side_b(_load_matrix(args), args.side))
+    rep = rho_bound(_config(args))
     obj = {
         "parts": [[i + 1 for i in p] for p in rep.parts],
         "ranks": list(rep.ranks),
@@ -217,7 +209,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_discriminant(args) -> int:
-    result = discriminant(_engine_input(args))
+    result = discriminant(_config(args))
     obj = poly_to_json_dict(result.poly, result.names)
     if args.trace:
         obj["provenance"] = result.provenance
@@ -227,7 +219,7 @@ def cmd_discriminant(args) -> int:
 
 def cmd_member(args) -> int:
     point = _parse_point(args.point)
-    verdict = membership(_engine_input(args), point)
+    verdict = membership(_config(args), point)
     _emit(args, {"member": verdict}, str(verdict).lower())
     return 0
 
@@ -245,13 +237,13 @@ def cmd_cayley(args) -> int:
 
 
 def cmd_check_specialization(args) -> int:
-    holds = check_specialization(_engine_input(args), args.j - 1)
+    holds = check_specialization(_config(args), args.j - 1)
     _emit(args, {"holds": holds}, str(holds).lower())
     return 0
 
 
 def cmd_check_grouping(args) -> int:
-    holds = check_restriction_grouping(_engine_input(args), args.k - 1, args.l - 1)
+    holds = check_restriction_grouping(_config(args), args.k - 1, args.l - 1)
     _emit(args, {"holds": holds}, str(holds).lower())
     return 0
 
@@ -377,8 +369,8 @@ def main(argv=None) -> int:
             if args.size_bound < 0:
                 raise ParseError(f"--size-bound must be non-negative, got {args.size_bound}")
             os.environ[SIZE_BOUND_ENV] = str(args.size_bound)
-        # validated up front: `defect` reports dual_dim as unknown on
-        # errors, which would hide a malformed environment value
+        # validated up front, so a malformed bound is refused by every
+        # subcommand, also those that never enumerate supports
         size_bound()
         return args.func(args)
     except DiscforgeError as exc:

@@ -164,6 +164,16 @@ def gale_dual(cfg: PointConfiguration) -> GaleConfiguration:
     return GaleConfiguration(IntMatrix(rows), labels=cfg.labels)
 
 
+def gale_side(cfg) -> GaleConfiguration:
+    """The Gale side of either kind of configuration: a point
+    configuration's Gale dual, or a Gale configuration unchanged."""
+    if isinstance(cfg, PointConfiguration):
+        return gale_dual(cfg)
+    if isinstance(cfg, GaleConfiguration):
+        return cfg
+    raise TypeError("expected a point or Gale configuration")
+
+
 def dual_of(cfg: GaleConfiguration) -> PointConfiguration:
     """Point configuration dual to a vector configuration.
 
@@ -251,6 +261,7 @@ __all__ = [
     "GaleConfiguration",
     "is_homogeneous",
     "gale_dual",
+    "gale_side",
     "dual_of",
     "saturated_row_basis",
     "standard_form",

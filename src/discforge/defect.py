@@ -17,7 +17,7 @@ from .config import (
     GaleConfiguration,
     PointConfiguration,
     cayley,
-    gale_dual,
+    gale_side,
     segment,
 )
 from .errors import (
@@ -64,9 +64,9 @@ def size_bound() -> int:
     return bound
 
 
-def _check_size(cfg: PointConfiguration) -> None:
+def _check_size(b: GaleConfiguration) -> None:
     bound = size_bound()
-    if cfg.n > bound:
+    if b.n > bound:
         raise SizeBound(
             f"support enumeration limited to n <= {bound} "
             f"(override via {SIZE_BOUND_ENV})"
@@ -80,13 +80,17 @@ class DefectReport:
     witness: dict = field(default_factory=dict)
 
 
-def _validate(cfg: GaleConfiguration) -> None:
-    if not cfg.is_homogeneous():
-        raise NotHomogeneous("defect test needs row sums zero")
-    if cfg.zero_rows():
+def _validate(cfg) -> GaleConfiguration:
+    """The Gale side B of either side, if homogeneous (ker B^T is the row
+    span of A), no pyramid (n = d leaves B no columns) and of rank m."""
+    b = gale_side(cfg)
+    if not b.is_homogeneous():
+        raise NotHomogeneous("dual rows must sum to zero")
+    if b.m == 0 or b.zero_rows():
         raise PyramidInput("zero dual vector; configuration is a pyramid")
-    if cfg.rank < cfg.m:
+    if b.rank < b.m:
         raise DegenerateDual("dual vectors must span the full codimension")
+    return b
 
 
 def _complementary_planes(red: GaleConfiguration):
@@ -100,20 +104,21 @@ def _complementary_planes(red: GaleConfiguration):
     return None
 
 
-def is_dual_defect(cfg: GaleConfiguration) -> DefectReport:
-    """Classify a homogeneous vector configuration as dual defect or not.
+def is_dual_defect(cfg) -> DefectReport:
+    """Classify a homogeneous point or vector configuration as dual
+    defect or not.
 
     The returned witness is a verified non-splitting flag of length m - 1
     for the non-defect verdict, and a structural certificate (degenerate
     reduction, complementary planes, or exhausted flag search) otherwise.
     """
-    _validate(cfg)
-    m = cfg.m
+    b = _validate(cfg)
+    m = b.m
     if m == 1:
         return DefectReport(
             defect=False, method="codim-one", witness={"kind": "flag", "flats": []}
         )
-    red = reduce(cfg)
+    red = reduce(b)
     if red.config.rank < m:
         return DefectReport(
             defect=True,
@@ -140,7 +145,7 @@ def is_dual_defect(cfg: GaleConfiguration) -> DefectReport:
                     "parts": [list(p) for p in orig],
                 },
             )
-    flag = find_nonsplitting_flag(cfg, m - 1)
+    flag = find_nonsplitting_flag(b, m - 1)
     if flag is None:
         if m <= 4:
             raise DiscforgeError(
@@ -151,7 +156,7 @@ def is_dual_defect(cfg: GaleConfiguration) -> DefectReport:
             method="flag-search",
             witness={"kind": "no-nonsplitting-flag", "length": m - 1},
         )
-    if not is_nonsplitting_flag(cfg, flag):
+    if not is_nonsplitting_flag(b, flag):
         raise DiscforgeError("flag search returned an invalid witness")
     return DefectReport(
         defect=False,
@@ -160,14 +165,14 @@ def is_dual_defect(cfg: GaleConfiguration) -> DefectReport:
     )
 
 
-def is_dual_defect_exhaustive(cfg: GaleConfiguration) -> bool:
+def is_dual_defect_exhaustive(cfg) -> bool:
     """Pure flag search, bypassing all structural fast paths.
 
     Used to cross-check the classifier; m = 1 has the empty flag and is
     never defect.
     """
-    _validate(cfg)
-    return find_nonsplitting_flag(cfg, cfg.m - 1) is None
+    b = _validate(cfg)
+    return find_nonsplitting_flag(b, b.m - 1) is None
 
 
 # -- support lattice and dual dimension ----------------------------------
@@ -188,16 +193,17 @@ class SupportLattice:
     covers: dict
 
 
-def support_lattice(cfg: PointConfiguration) -> SupportLattice:
-    """All supports of kernel vectors of the configuration.
+def support_lattice(cfg) -> SupportLattice:
+    """All supports of kernel vectors of a point configuration, given on
+    either side.
 
     Supports are exactly the complements of flats of the dual row matroid
     of rank below m, which keeps the poset graded.
     """
-    _check_size(cfg)
-    b = gale_dual(cfg)
+    b = gale_side(cfg)
+    _check_size(b)
     m = b.m
-    full = frozenset(range(cfg.n))
+    full = frozenset(range(b.n))
     height = {
         full - set(fl.indices): m - k
         for k, level in enumerate(flats_by_rank(b, m - 1))
@@ -210,11 +216,11 @@ def support_lattice(cfg: PointConfiguration) -> SupportLattice:
             if height[high] == height[low] + 1 and low < high:
                 covers[low].append(high)
     return SupportLattice(
-        n=cfg.n, m=m, elements=tuple(elements), height=height, covers=covers
+        n=b.n, m=m, elements=tuple(elements), height=height, covers=covers
     )
 
 
-def dual_variety_dim(cfg: PointConfiguration) -> int:
+def dual_variety_dim(cfg) -> int:
     """Dimension of the dual variety over flags of flats.
 
     Equals n - m - 1 plus the largest rank of (sigma_F1, ..., sigma_F(m-1))
@@ -223,14 +229,8 @@ def dual_variety_dim(cfg: PointConfiguration) -> int:
     is rank(A^T | 1_F1 | ... | 1_F(m-1)) - 1: B^T kills the row span of A,
     which has rank n - m, and sends each indicator 1_F to sigma_F.
     """
-    b = gale_dual(cfg)
-    # ker B^T is the row span of A, so it holds (1, ..., 1) when B's rows
-    # sum to zero; n = d leaves B without columns, a pyramid by convention
-    if not b.is_homogeneous():
-        raise NotHomogeneous("dual dimension formula needs a homogeneous input")
-    if b.m == 0 or b.zero_rows():
-        raise PyramidInput("pyramids have degenerate duals; no dimension computed")
-    _check_size(cfg)
+    b = _validate(cfg)
+    _check_size(b)
     m = b.m
     best = -1
     # each flat's covers are computed once, since a flat lies on every
@@ -252,7 +252,7 @@ def dual_variety_dim(cfg: PointConfiguration) -> int:
                 dfs(cover, echelon_extend(basis, cover.sigma))
 
     dfs(closure(b, ()), ())
-    return cfg.n - m - 1 + best
+    return b.n - m - 1 + best
 
 
 @dataclass(frozen=True)
@@ -264,21 +264,21 @@ class RhoReport:
     sufficient_defect: bool
 
 
-def rho_bound(cfg: GaleConfiguration) -> RhoReport:
+def rho_bound(cfg) -> RhoReport:
     """Greedy decomposition bound: rho <= m - 2 certifies defectness.
 
-    The input is reduced first; parts refer to rows of the reduced
+    The Gale side is reduced first; parts refer to rows of the reduced
     configuration mapped back to original class index sets.
     """
-    if not cfg.is_homogeneous():
-        raise NotHomogeneous("rho bound needs a homogeneous configuration")
-    red = reduce(cfg)
+    b = gale_side(cfg)
+    # reduce keeps the row sum, so decompose refuses inhomogeneous input
+    red = reduce(b)
     dec = decompose(red.config, lambda sub: is_dual_defect(sub).defect)
     parts = tuple(
         tuple(sorted(i for t in part for i in red.merged[t]))
         for part in dec.parts
     )
-    m = cfg.m
+    m = b.m
     return RhoReport(
         parts=parts,
         ranks=dec.ranks,

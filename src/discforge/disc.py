@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .config import (
-    GaleConfiguration,
-    PointConfiguration,
-    gale_dual,
-    is_homogeneous,
-)
+from .config import GaleConfiguration, gale_side
 from .defect import is_dual_defect
 from .errors import (
     DegenerateDual,
@@ -320,16 +315,9 @@ def discriminant(cfg) -> DiscriminantResult:
     Gale-side matrix directly.  Irreducible configurations of codimension
     3 and higher are out of scope and raise Unsupported.
     """
-    if isinstance(cfg, PointConfiguration):
-        if not is_homogeneous(cfg):
-            raise NotHomogeneous("(1,...,1) must lie in the row span")
-        b = gale_dual(cfg)
-    elif isinstance(cfg, GaleConfiguration):
-        b = cfg
-        if not b.is_homogeneous():
-            raise NotHomogeneous("dual rows must sum to zero")
-    else:
-        raise TypeError("expected a point or Gale configuration")
+    b = gale_side(cfg)
+    if not b.is_homogeneous():
+        raise NotHomogeneous("dual rows must sum to zero: (1,...,1) is not in the row span")
     return _disc_b(b)
 
 
@@ -462,16 +450,13 @@ def membership(cfg, point) -> bool:
 def check_restriction_grouping(cfg, k: int, ell: int) -> bool:
     """Equality of the two face restrictions x_k = 0 and x_l = 0 when the
     dual vectors at k and l are positive multiples of each other."""
-    result = discriminant(cfg)
+    b = gale_side(cfg)
+    result = discriminant(b)
     n = result.poly.n
     if not 0 <= k < n or not 0 <= ell < n:
         raise ValueError("index out of range")
     if k == ell:
         return True
-    if isinstance(cfg, PointConfiguration):
-        b = gale_dual(cfg)
-    else:
-        b = cfg
     rk, rl = b.row(k), b.row(ell)
     if not any(rk) or not any(rl):
         raise NotPositiveMultiple("zero dual vectors carry no line")
@@ -494,11 +479,11 @@ def check_specialization(cfg, j: int, line=None) -> bool:
     The line through b_j must be non-splitting and b_j must lie on its
     positive side, where positive means the side of the class sum.
     """
-    result = discriminant(cfg)
+    b = gale_side(cfg)
+    result = discriminant(b)
     n = result.poly.n
     if not 0 <= j < n:
         raise ValueError("index out of range")
-    b = gale_dual(cfg) if isinstance(cfg, PointConfiguration) else cfg
     if not any(b.row(j)):
         raise SplittingLine("zero dual vector spans no line")
     cls = next(

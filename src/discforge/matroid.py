@@ -204,26 +204,30 @@ def find_nonsplitting_flag(cfg: GaleConfiguration, k: int):
     index order, so the first witness is deterministic.  Every flat in a
     chain has rank equal to its depth, so whether a flag continues below
     a flat depends on the flat alone: each flat is expanded at most
-    once, and a flat whose subtree failed is skipped.
+    once, and a flat whose subtree failed is skipped.  Along a
+    non-splitting chain the sigmas span the current flat, so their
+    echelon basis is carried down instead of rebuilt from the flat.
     """
     if k == 0:
         return ()
     dead: set[tuple[int, ...]] = set()
 
-    def dfs(chain):
-        if len(chain) == k + 1:
-            return tuple(chain[1:])
-        basis = _basis(cfg, chain[-1].indices)
-        for cand in covering_flats(cfg, chain[-1]):
-            if cand.indices in dead or echelon_extend(basis, cand.sigma) is basis:
+    def dfs(flat, basis):
+        if len(basis) == k:
+            return ()
+        for cand in covering_flats(cfg, flat):
+            if cand.indices in dead:
                 continue
-            found = dfs(chain + [cand])
+            ext = echelon_extend(basis, cand.sigma)
+            if ext is basis:
+                continue
+            found = dfs(cand, ext)
             if found is not None:
-                return found
+                return (cand,) + found
             dead.add(cand.indices)
         return None
 
-    return dfs([closure(cfg, ())])
+    return dfs(closure(cfg, ()), ())
 
 
 def restrict_to_span(cfg: GaleConfiguration, indices) -> GaleConfiguration:

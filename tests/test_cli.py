@@ -2,9 +2,11 @@
 
 import json
 import os
+import time
 
 import pytest
 
+import discforge.config
 import discforge.defect
 from discforge.cli import main
 from discforge.config import PointConfiguration
@@ -18,6 +20,9 @@ CAY222 = (
     "[[1,1,1,0,0,0,0,0,0],[0,0,0,1,1,1,0,0,0],"
     "[0,0,0,0,0,0,1,1,1],[0,1,2,0,1,2,0,1,2]]"
 )
+# a dual whose point side repeats a point, and a rank-deficient dual
+REPEATED_POINT_B = "[[1,0,0],[0,1,0],[0,0,1],[-3,-3,-2],[2,2,1]]"
+RANK_DEFICIENT_B = "[[1,0],[1,0],[-2,0]]"
 
 
 def run(capsys, argv):
@@ -101,6 +106,35 @@ def test_defect_reads_input_once(tmp_path, capsys, monkeypatch):
     assert rc == 0
     assert json.loads(out)["dual_dim"] == 6
     assert len(opens) == 1
+
+
+def test_side_b_is_answered_on_the_gale_side(capsys):
+    rc, out, _ = run(capsys, ["defect", "--side", "b", "--matrix", REPEATED_POINT_B])
+    assert rc == 0
+    obj = json.loads(out)
+    assert obj["defect"] is False and obj["dual_dim"] == 3
+    rc, out, _ = run(capsys, ["dualdim", "--side", "b", "--matrix", REPEATED_POINT_B])
+    assert rc == 0
+    assert json.loads(out) == {"dual_dim": 3}
+
+
+def test_rank_deficient_side_b_is_refused_alike(capsys):
+    for cmd in ("dualdim", "defect", "discriminant"):
+        rc, out, err = run(capsys, [cmd, "--side", "b", "--matrix", RANK_DEFICIENT_B])
+        assert (rc, out) == (3, ""), cmd
+        assert "DegenerateDual" in err, cmd
+
+
+def test_defect_takes_the_gale_dual_once(capsys, monkeypatch):
+    real = discforge.config.gale_dual
+    calls = []
+    monkeypatch.setattr(
+        discforge.config, "gale_dual", lambda a: calls.append(a) or real(a)
+    )
+    rc, out, _ = run(capsys, ["defect", "--matrix", CUBIC])
+    assert rc == 0
+    assert json.loads(out)["dual_dim"] == 2
+    assert len(calls) == 1
 
 
 def test_defect_witness_one_based(capsys):
@@ -198,6 +232,25 @@ def test_member_rejects_floats(capsys):
     )
     assert rc == 2
     assert "integers or 'p/q'" in err
+
+
+def test_member_point_grammar(capsys):
+    def member(entry):
+        return run(capsys, ["member", "--matrix", CUBIC, "--point", f"[{entry},1,1,1]"])
+
+    start = time.perf_counter()
+    rc, out, err = member('"1e4000000"')
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (2, "")
+    assert "ParseError" in err
+    for bad in ('"0.5"', '" 1/2"', '"1_0"', '"1/0"', '"1e5"', "null"):
+        rc, out, err = member(bad)
+        assert (rc, out) == (2, ""), bad
+        assert "ParseError" in err, bad
+    for good in ('"-3/4"', '"6/8"', '"+2"', "-5"):
+        rc, out, _ = member(good)
+        assert rc == 0, good
+        assert json.loads(out) == {"member": False}
 
 
 def test_cayley(capsys):

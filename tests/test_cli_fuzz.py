@@ -83,7 +83,10 @@ def argvs(draw):
     if cmd == "discriminant" and draw(st.booleans()):
         argv.append("--trace")
     if cmd == "member":
-        points = ["[1,2,3,4]", "[1,-1,1]", '["1/2",3,1,1]', "[0,1]", "[1.5]", "x", "[" * 2000]
+        points = [
+            "[1,2,3,4]", "[1,-1,1]", '["1/2",3,1,1]', "[0,1]", "[1.5]", "x", "[" * 2000,
+            '["1e5",1,1,1]', '[" 1/2",1,1,1]',
+        ]
         argv += ["--point", draw(st.sampled_from(points))]
     index = st.integers(-1, 7).map(str)
     if cmd == "check-specialization":

@@ -6,6 +6,7 @@ from discforge.config import (
     cayley,
     dual_of,
     gale_dual,
+    gale_side,
     is_homogeneous,
     is_pyramid,
     segment,
@@ -127,6 +128,16 @@ def test_labels_flow_through_duality():
     a = PointConfiguration([[1, 1, 1], [0, 1, 2]], labels=("p", "q", "r"))
     b = gale_dual(a)
     assert b.labels == ("p", "q", "r")
+
+
+def test_gale_side():
+    a = PointConfiguration([[1, 1, 1], [0, 1, 2]])
+    assert gale_side(a) == gale_dual(a)
+    # a Gale configuration passes through, even one with no point dual
+    b = GaleConfiguration([[1, 0], [1, 0], [-2, 0]])
+    assert gale_side(b) is b
+    with pytest.raises(TypeError):
+        gale_side([[1, -2, 1]])
 
 
 def test_matrix_parse_error():

@@ -194,6 +194,27 @@ def test_dual_dim_errors():
     # n = d: the Gale dual is empty
     with pytest.raises(PyramidInput):
         dual_variety_dim(PointConfiguration([[1, 0], [0, 1]]))
+    # a rank-deficient dual, refused after homogeneity and the pyramid
+    # check, as in is_dual_defect
+    with pytest.raises(DegenerateDual):
+        dual_variety_dim(GaleConfiguration([[1, 0], [1, 0], [-2, 0]]))
+    with pytest.raises(NotHomogeneous):
+        dual_variety_dim(GaleConfiguration([[1, 0], [1, 0], [-1, 0]]))
+    with pytest.raises(PyramidInput):
+        dual_variety_dim(GaleConfiguration([[1, 0], [-1, 0], [0, 0]]))
+
+
+def test_defect_functions_take_either_side(twisted_cubic, cay222):
+    for a in (twisted_cubic, cay222):
+        b = gale_dual(a)
+        assert is_dual_defect(a) == is_dual_defect(b)
+        assert is_dual_defect_exhaustive(a) == is_dual_defect_exhaustive(b)
+        assert rho_bound(a) == rho_bound(b)
+        assert dual_variety_dim(a) == dual_variety_dim(b)
+        assert support_lattice(a) == support_lattice(b)
+    for fn in (is_dual_defect, rho_bound, dual_variety_dim, support_lattice):
+        with pytest.raises(TypeError):
+            fn([[1, -2, 1]])
 
 
 def test_rho_bound_three_squares(cay222):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import discforge.config
 from discforge.config import (
     GaleConfiguration,
     PointConfiguration,
@@ -258,10 +259,27 @@ def test_unsupported_routes():
         discriminant(GaleConfiguration([[1, 0], [-1, 0], [2, 0], [-2, 0]]))
     with pytest.raises(NotHomogeneous):
         discriminant(GaleConfiguration([[1, 0], [0, 1]]))
-    with pytest.raises(NotHomogeneous):
+    with pytest.raises(NotHomogeneous) as on_a:
         discriminant(PointConfiguration([[0, 1, 2]]))
+    # one message for both sides of the same input
+    with pytest.raises(NotHomogeneous) as on_b:
+        discriminant(gale_dual(PointConfiguration([[0, 1, 2]])))
+    assert str(on_a.value) == str(on_b.value)
     with pytest.raises(TypeError):
         discriminant([[1, -2, 1]])
+
+
+def test_checkers_take_the_gale_dual_once(monkeypatch, seven_point_b):
+    a = dual_of(seven_point_b)
+    real = discforge.config.gale_dual
+    calls = []
+    monkeypatch.setattr(
+        discforge.config, "gale_dual", lambda cfg: calls.append(cfg) or real(cfg)
+    )
+    assert check_specialization(a, 0)
+    assert len(calls) == 1
+    assert check_restriction_grouping(a, 4, 5)
+    assert len(calls) == 2
 
 
 def test_membership(quadratic):

@@ -28,6 +28,7 @@ from discforge.defect import (
     _complementary_planes,
     dirocco_fixtures,
     dual_variety_dim,
+    is_dual_defect,
     support_lattice,
 )
 from discforge.lattice import IntMatrix, rank
@@ -64,6 +65,9 @@ def _agree(a: PointConfiguration) -> None:
     b = gale_dual(a)
     assert find_nonsplitting_flag(b, b.m - 1) == oracle_flag_search(b, b.m - 1)
     assert dual_variety_dim(a) == oracle_dual_variety_dim(a)
+    # either side gives the same dimension and the same verdict
+    assert dual_variety_dim(b) == dual_variety_dim(a)
+    assert is_dual_defect(b) == is_dual_defect(a)
     _agree_flats(b)
     lat = support_lattice(a)
     assert (lat.elements, lat.height, lat.covers) == oracle_support_lattice(a)
