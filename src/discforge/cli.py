@@ -15,7 +15,10 @@ import re
 import sys
 from fractions import Fraction
 
+# config, lattice and errors serve every subcommand; the engine modules
+# are imported inside the subcommands that use them
 from .config import (
+    SIZE_BOUND_ENV,
     GaleConfiguration,
     PointConfiguration,
     cayley,
@@ -23,25 +26,11 @@ from .config import (
     gale_dual,
     gale_side,
     segment,
-    standard_form,
-)
-from .defect import (
-    SIZE_BOUND_ENV,
-    dual_variety_dim,
-    is_dual_defect,
-    rho_bound,
     size_bound,
-)
-from .disc import (
-    check_restriction_grouping,
-    check_specialization,
-    discriminant,
-    membership,
+    standard_form,
 )
 from .errors import DiscforgeError, ParseError, SizeBound
 from .lattice import IntMatrix, lattice_index
-from .matroid import reduce as reduce_config
-from .poly import poly_to_json_dict
 
 
 def _load_matrix(args) -> IntMatrix:
@@ -149,6 +138,8 @@ def cmd_index(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .matroid import reduce as reduce_config
+
     res = reduce_config(gale_side(_config(args)))
     obj = {
         "matrix": res.config.matrix.to_lists(),
@@ -161,6 +152,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_defect(args) -> int:
+    from .defect import dual_variety_dim, is_dual_defect
+
     b = gale_side(_config(args))
     report = is_dual_defect(b)
     # once the verdict has accepted B, only the size bound can refuse
@@ -185,12 +178,16 @@ def cmd_defect(args) -> int:
 
 
 def cmd_dualdim(args) -> int:
+    from .defect import dual_variety_dim
+
     dim = dual_variety_dim(_config(args))
     _emit(args, {"dual_dim": dim}, str(dim))
     return 0
 
 
 def cmd_decompose(args) -> int:
+    from .defect import rho_bound
+
     rep = rho_bound(_config(args))
     obj = {
         "parts": [[i + 1 for i in p] for p in rep.parts],
@@ -209,6 +206,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_discriminant(args) -> int:
+    from .disc import discriminant
+    from .poly import poly_to_json_dict
+
     result = discriminant(_config(args))
     obj = poly_to_json_dict(result.poly, result.names)
     if args.trace:
@@ -218,6 +218,8 @@ def cmd_discriminant(args) -> int:
 
 
 def cmd_member(args) -> int:
+    from .disc import membership
+
     point = _parse_point(args.point)
     verdict = membership(_config(args), point)
     _emit(args, {"member": verdict}, str(verdict).lower())
@@ -237,12 +239,16 @@ def cmd_cayley(args) -> int:
 
 
 def cmd_check_specialization(args) -> int:
+    from .disc import check_specialization
+
     holds = check_specialization(_config(args), args.j - 1)
     _emit(args, {"holds": holds}, str(holds).lower())
     return 0
 
 
 def cmd_check_grouping(args) -> int:
+    from .disc import check_restriction_grouping
+
     holds = check_restriction_grouping(_config(args), args.k - 1, args.l - 1)
     _emit(args, {"holds": holds}, str(holds).lower())
     return 0

@@ -3,10 +3,14 @@
 Columns of a point configuration matrix are the points; rows of a Gale
 configuration matrix are the dual vectors.  Duality is always computed
 through saturated kernel lattices so a Gale dual has index 1 and, for a
-homogeneous input, rows summing to zero.
+homogeneous input, rows summing to zero.  The size bound on support
+enumeration lives here too, so the CLI can check it without loading the
+enumeration.
 """
 
 from __future__ import annotations
+
+import os
 
 from .errors import (
     DegenerateDual,
@@ -22,6 +26,29 @@ from .lattice import (
     lattice_index,
     rank,
 )
+
+SIZE_BOUND_ENV = "DISCFORGE_SIZE_BOUND"
+DEFAULT_SIZE_BOUND = 12
+
+
+def size_bound() -> int:
+    """The largest n that the dimension walk and the support lattice
+    accept: DISCFORGE_SIZE_BOUND, default 12.
+
+    A value that is not a non-negative integer raises ParseError.
+    """
+    raw = os.environ.get(SIZE_BOUND_ENV)
+    if raw is None:
+        return DEFAULT_SIZE_BOUND
+    try:
+        bound = int(raw)
+        if bound < 0:
+            raise ValueError
+    except ValueError:
+        raise ParseError(
+            f"{SIZE_BOUND_ENV} must be a non-negative integer, got {raw!r}"
+        ) from None
+    return bound
 
 
 class PointConfiguration:
@@ -268,5 +295,8 @@ __all__ = [
     "is_pyramid",
     "segment",
     "cayley",
+    "size_bound",
+    "SIZE_BOUND_ENV",
+    "DEFAULT_SIZE_BOUND",
     "IntMatrix",
 ]

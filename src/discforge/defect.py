@@ -10,21 +10,22 @@ complete flags of flats of the Gale dual.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .config import (
+    DEFAULT_SIZE_BOUND,
+    SIZE_BOUND_ENV,
     GaleConfiguration,
     PointConfiguration,
     cayley,
     gale_side,
     segment,
+    size_bound,
 )
 from .errors import (
     DegenerateDual,
     DiscforgeError,
     NotHomogeneous,
-    ParseError,
     PyramidInput,
     SizeBound,
 )
@@ -40,30 +41,6 @@ from .matroid import (
     reduce,
 )
 
-SIZE_BOUND_ENV = "DISCFORGE_SIZE_BOUND"
-DEFAULT_SIZE_BOUND = 12
-
-
-def size_bound() -> int:
-    """The largest n that the dimension walk and the support lattice
-    accept: DISCFORGE_SIZE_BOUND, default 12.
-
-    A value that is not a non-negative integer raises ParseError.
-    """
-    raw = os.environ.get(SIZE_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_SIZE_BOUND
-    try:
-        bound = int(raw)
-        if bound < 0:
-            raise ValueError
-    except ValueError:
-        raise ParseError(
-            f"{SIZE_BOUND_ENV} must be a non-negative integer, got {raw!r}"
-        ) from None
-    return bound
-
-
 def _check_size(b: GaleConfiguration) -> None:
     bound = size_bound()
     if b.n > bound:
@@ -73,11 +50,10 @@ def _check_size(b: GaleConfiguration) -> None:
         )
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     defect: bool
     method: str
-    witness: dict = field(default_factory=dict)
+    witness: dict
 
 
 def _validate(cfg) -> GaleConfiguration:
@@ -178,8 +154,7 @@ def is_dual_defect_exhaustive(cfg) -> bool:
 # -- support lattice and dual dimension ----------------------------------
 
 
-@dataclass(frozen=True)
-class SupportLattice:
+class SupportLattice(NamedTuple):
     """Poset of supports of dual kernel vectors, top included.
 
     ``height`` maps each element to m - (flat rank of its complement), so
@@ -255,8 +230,7 @@ def dual_variety_dim(cfg) -> int:
     return b.n - m - 1 + best
 
 
-@dataclass(frozen=True)
-class RhoReport:
+class RhoReport(NamedTuple):
     parts: tuple[tuple[int, ...], ...]
     ranks: tuple[int, ...]
     rho: int
@@ -271,7 +245,10 @@ def rho_bound(cfg) -> RhoReport:
     configuration mapped back to original class index sets.
     """
     b = gale_side(cfg)
-    # reduce keeps the row sum, so decompose refuses inhomogeneous input
+    if not b.is_homogeneous():
+        raise NotHomogeneous("decomposition needs a homogeneous configuration")
+    if b.rank < b.m:
+        raise DegenerateDual("dual vectors must span the full codimension")
     red = reduce(b)
     dec = decompose(red.config, lambda sub: is_dual_defect(sub).defect)
     parts = tuple(
@@ -316,4 +293,5 @@ __all__ = [
     "dirocco_fixtures",
     "size_bound",
     "SIZE_BOUND_ENV",
+    "DEFAULT_SIZE_BOUND",
 ]

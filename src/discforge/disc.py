@@ -10,9 +10,9 @@ dual-defect configurations have trivial discriminant 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .config import GaleConfiguration, gale_side
 from .defect import is_dual_defect
@@ -50,13 +50,12 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class DiscriminantResult:
+class DiscriminantResult(NamedTuple):
     """Normalized discriminant with variable names and a derivation trace."""
 
     poly: SparsePolynomial
     names: tuple[str, ...]
-    provenance: dict = field(default_factory=dict)
+    provenance: dict
 
     @property
     def is_trivial(self) -> bool:

@@ -9,8 +9,8 @@ span of the previous flat.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .config import GaleConfiguration
 from .errors import (
@@ -22,8 +22,7 @@ from .errors import (
 from .lattice import IntMatrix, echelon_extend, integer_solve, row_hermite
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     """A closed subset of rows with its rank and member sum."""
 
     indices: tuple[int, ...]
@@ -31,8 +30,7 @@ class Flat:
     sigma: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ReduceResult:
+class ReduceResult(NamedTuple):
     """Reduced configuration plus provenance of every output row."""
 
     config: GaleConfiguration
@@ -41,8 +39,7 @@ class ReduceResult:
     removed_zero: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     parts: tuple[tuple[int, ...], ...]
     ranks: tuple[int, ...]
 

@@ -28,11 +28,14 @@ planes from a scan over row pairs.
 The lattice index is the gcd of every maximal minor (determinants from
 the shared Bareiss elimination), and Horn-Kapranov points
 (B lam) * t^A give coefficient vectors on the discriminant of any
-non-defect configuration, whichever route computed it.
+non-defect configuration, whichever route computed it.  The Jacobian of
+that parametrization gives the dual dimension with no flat or flag at
+all.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
@@ -353,3 +356,26 @@ def oracle_dual_variety_dim(a: PointConfiguration) -> int:
 
     starts = [s for s in elements if height[s] == 1]
     return max(chain_rank(c) for s in starts for c in chains([s])) - 1
+
+
+def jacobian_dual_dim(a: PointConfiguration, tries: int = 3) -> int:
+    """rank M(lam) - 1 for M(lam) = [B | diag(B lam) A^T], maximized over
+    seeded integer lam.
+
+    M(lam) is the Jacobian of the Horn-Kapranov map (lam, t) -> (B lam) * t^A
+    at t = 1, after scaling its rows by t^-A, so its generic rank is the
+    dimension of the affine cone over the dual variety.  The rank at any
+    one lam is at most the generic rank; ranks come from ``oracle_rref``.
+    """
+    b = gale_dual(a).matrix
+    at = a.matrix.transpose()
+    rng = random.Random(a.n)
+    best = 0
+    for _ in range(tries):
+        lam = [rng.randint(-50, 50) for _ in range(b.cols)]
+        rows = []
+        for i in range(a.n):
+            bl = sum(x * y for x, y in zip(b.row(i), lam))
+            rows.append(list(b.row(i)) + [bl * x for x in at.row(i)])
+        best = max(best, len(oracle_rref(rows)[1]))
+    return best - 1

@@ -119,7 +119,7 @@ def test_side_b_is_answered_on_the_gale_side(capsys):
 
 
 def test_rank_deficient_side_b_is_refused_alike(capsys):
-    for cmd in ("dualdim", "defect", "discriminant"):
+    for cmd in ("dualdim", "defect", "discriminant", "decompose"):
         rc, out, err = run(capsys, [cmd, "--side", "b", "--matrix", RANK_DEFICIENT_B])
         assert (rc, out) == (3, ""), cmd
         assert "DegenerateDual" in err, cmd

@@ -241,3 +241,11 @@ def test_rho_bound_not_sufficient(seven_point_b):
     assert rep.rho == 1
     assert rep.m == 2
     assert not rep.sufficient_defect
+
+
+def test_rho_bound_refuses_a_rank_deficient_dual():
+    # refused after the homogeneity check, as in dual_variety_dim
+    with pytest.raises(DegenerateDual):
+        rho_bound(GaleConfiguration([[1, 0], [1, 0], [-2, 0]]))
+    with pytest.raises(NotHomogeneous):
+        rho_bound(GaleConfiguration([[1, 0], [1, 0], [-1, 0]]))

@@ -7,6 +7,7 @@ from conftest import SEVEN_ROWS
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    jacobian_dual_dim,
     oracle_closure,
     oracle_complementary_planes,
     oracle_dual_variety_dim,
@@ -61,10 +62,17 @@ def _agree_flats(b: GaleConfiguration) -> None:
             assert covering_flats(b, fl) == [distinct[key] for key in sorted(distinct)]
 
 
+def _agree_jacobian(a: PointConfiguration) -> None:
+    dim = jacobian_dual_dim(a)
+    assert dim == dual_variety_dim(a)
+    assert (dim < a.n - 2) == is_dual_defect(a).defect
+
+
 def _agree(a: PointConfiguration) -> None:
     b = gale_dual(a)
     assert find_nonsplitting_flag(b, b.m - 1) == oracle_flag_search(b, b.m - 1)
     assert dual_variety_dim(a) == oracle_dual_variety_dim(a)
+    _agree_jacobian(a)
     # either side gives the same dimension and the same verdict
     assert dual_variety_dim(b) == dual_variety_dim(a)
     assert is_dual_defect(b) == is_dual_defect(a)
@@ -89,6 +97,14 @@ NAMED = {
 @pytest.mark.parametrize("name", list(NAMED))
 def test_named_configurations_match_oracle(name):
     _agree(NAMED[name])
+
+
+def test_jacobian_rank_on_four_squares():
+    # n = 12, the default size bound, and defect
+    a = cayley([segment(2)] * 4)
+    assert a.n == 12
+    _agree_jacobian(a)
+    assert jacobian_dual_dim(a) < a.n - 2
 
 
 # homogenized planar point sets: columns (1, x, y), n <= 9
