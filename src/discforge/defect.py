@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .config import (
-    DEFAULT_SIZE_BOUND,
     SIZE_BOUND_ENV,
     GaleConfiguration,
     PointConfiguration,
@@ -40,6 +39,7 @@ from .matroid import (
     is_nonsplitting_flag,
     reduce,
 )
+
 
 def _check_size(b: GaleConfiguration) -> None:
     bound = size_bound()
@@ -291,7 +291,4 @@ __all__ = [
     "dual_variety_dim",
     "rho_bound",
     "dirocco_fixtures",
-    "size_bound",
-    "SIZE_BOUND_ENV",
-    "DEFAULT_SIZE_BOUND",
 ]

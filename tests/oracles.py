@@ -358,9 +358,9 @@ def oracle_dual_variety_dim(a: PointConfiguration) -> int:
     return max(chain_rank(c) for s in starts for c in chains([s])) - 1
 
 
-def jacobian_dual_dim(a: PointConfiguration, tries: int = 3) -> int:
+def jacobian_dual_dim(a: PointConfiguration) -> int:
     """rank M(lam) - 1 for M(lam) = [B | diag(B lam) A^T], maximized over
-    seeded integer lam.
+    three seeded integer lam.
 
     M(lam) is the Jacobian of the Horn-Kapranov map (lam, t) -> (B lam) * t^A
     at t = 1, after scaling its rows by t^-A, so its generic rank is the
@@ -371,7 +371,7 @@ def jacobian_dual_dim(a: PointConfiguration, tries: int = 3) -> int:
     at = a.matrix.transpose()
     rng = random.Random(a.n)
     best = 0
-    for _ in range(tries):
+    for _ in range(3):
         lam = [rng.randint(-50, 50) for _ in range(b.cols)]
         rows = []
         for i in range(a.n):

@@ -9,8 +9,8 @@ import pytest
 import discforge.config
 import discforge.defect
 from discforge.cli import main
-from discforge.config import PointConfiguration
-from discforge.defect import SIZE_BOUND_ENV, dual_variety_dim
+from discforge.config import SIZE_BOUND_ENV, PointConfiguration
+from discforge.defect import dual_variety_dim
 from discforge.matroid import Flat
 from discforge.poly import poly_from_json_dict
 

@@ -6,22 +6,22 @@ import pytest
 
 import discforge.defect
 from discforge.config import (
+    DEFAULT_SIZE_BOUND,
+    SIZE_BOUND_ENV,
     GaleConfiguration,
     PointConfiguration,
     cayley,
     dual_of,
     gale_dual,
     segment,
+    size_bound,
 )
 from discforge.defect import (
-    DEFAULT_SIZE_BOUND,
-    SIZE_BOUND_ENV,
     dirocco_fixtures,
     dual_variety_dim,
     is_dual_defect,
     is_dual_defect_exhaustive,
     rho_bound,
-    size_bound,
     support_lattice,
 )
 from discforge.errors import (

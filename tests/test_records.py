@@ -1,8 +1,7 @@
-"""Result records: immutable named tuples whose properties still work."""
+"""Result records: immutable named tuples."""
 
 import pytest
 
-from discforge.config import GaleConfiguration
 from discforge.defect import is_dual_defect
 from discforge.disc import discriminant
 from discforge.matroid import Decomposition, closure
@@ -17,18 +16,6 @@ def test_records_are_immutable(seven_point_b, twisted_cubic):
     for record, field in records:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
-
-
-def test_decomposition_properties():
-    dec = Decomposition(parts=((0, 1, 2), (3, 4, 5)), ranks=(2, 3))
-    assert dec.s == 2
-    assert dec.rho == 3
-
-
-def test_discriminant_result_is_trivial(twisted_cubic):
-    # a pyramid has the trivial discriminant 1
-    assert discriminant(GaleConfiguration([[1], [-1], [0]])).is_trivial
-    assert not discriminant(twisted_cubic).is_trivial
 
 
 def test_record_equals_the_tuple_of_its_fields():
