@@ -28,7 +28,7 @@ from .errors import (
     PyramidInput,
     SizeBound,
 )
-from .lattice import IntMatrix, echelon_extend, rank
+from .lattice import IntMatrix, echelon_extend, rank, span_key
 from .matroid import (
     closure,
     covering_flats,
@@ -203,6 +203,11 @@ def dual_variety_dim(cfg) -> int:
     walked depth first up ``covering_flats`` from the rank-0 flat.  This
     is rank(A^T | 1_F1 | ... | 1_F(m-1)) - 1: B^T kills the row span of A,
     which has rank n - m, and sends each indicator 1_F to sigma_F.
+
+    What a walk can still reach from a flat F depends only on F and on
+    the span V of the sigmas so far, which lies inside span(F): each
+    state (F, V) is expanded once, and a state whose rank plus the steps
+    left cannot beat the best rank found is not expanded.
     """
     b = _validate(cfg)
     _check_size(b)
@@ -212,12 +217,19 @@ def dual_variety_dim(cfg) -> int:
     # flag through it, and shared as one Flat per distinct flat
     ups: dict[tuple[int, ...], list] = {}
     nodes: dict[tuple[int, ...], object] = {}
+    seen: set = set()
 
     def dfs(flat, basis):
         nonlocal best
-        if flat.rank == m - 1:
-            best = max(best, len(basis))
+        if len(basis) + m - 1 - flat.rank <= best:
             return
+        if flat.rank == m - 1:
+            best = len(basis)
+            return
+        state = (flat.indices, span_key(basis))
+        if state in seen:
+            return
+        seen.add(state)
         if flat.indices not in ups:
             ups[flat.indices] = [
                 nodes.setdefault(c.indices, c) for c in covering_flats(b, flat)

@@ -493,7 +493,8 @@ def check_specialization(cfg, j: int, line=None) -> bool:
     sigma = b.sigma(cls)
     if not any(sigma):
         raise SplittingLine("the line of b_j is splitting")
-    w = _primitive_direction(sigma)
+    g = gcd(*sigma)
+    w = tuple(x // g for x in sigma)
     piv = next(i for i, x in enumerate(w) if x)
     beta_j = Fraction(b.row(j)[piv], w[piv])
     if beta_j <= 0:

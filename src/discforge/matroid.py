@@ -122,28 +122,28 @@ def closure(cfg: GaleConfiguration, indices) -> Flat:
 
 def covering_flats(cfg: GaleConfiguration, flat: Flat) -> list[Flat]:
     """The flats one rank above ``flat`` that contain it, ordered by index
-    tuple: each is the closure of the flat plus one row outside it.
+    tuple: the parallel classes of the contraction by the flat, each
+    joined with the flat.
 
-    The flat's basis is built once and extended by each row i that no
-    earlier cover holds.  Two covers meet only in the flat, and an
-    uncovered row before i would have started a cover of its own, so
-    only the uncovered rows from i on are tested."""
+    Each row outside the flat is reduced once against the flat's echelon
+    basis.  The residual is zero at the basis pivots, so it is the row's
+    image in a complement of the flat's span; rows whose sign-normal
+    residuals agree lie in one cover."""
     base = _basis(cfg, flat.indices)
+    inside = set(flat.indices)
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for j in range(cfg.n):
+        if j not in inside:
+            piv, res = echelon_extend(base, cfg.row(j))[-1]
+            if res[piv] < 0:
+                res = tuple(-x for x in res)
+            classes.setdefault(res, []).append(j)
     covers = []
-    covered = set(flat.indices)
-    for i in range(cfg.n):
-        if i not in covered:
-            basis = echelon_extend(base, cfg.row(i))
-            new = [
-                j
-                for j in range(i, cfg.n)
-                if j not in covered and echelon_extend(basis, cfg.row(j)) is basis
-            ]
-            covered.update(new)
-            members = sorted(flat.indices + tuple(new))
-            covers.append(
-                Flat(indices=tuple(members), rank=len(basis), sigma=cfg.sigma(members))
-            )
+    for new in classes.values():
+        members = sorted(flat.indices + tuple(new))
+        covers.append(
+            Flat(indices=tuple(members), rank=len(base) + 1, sigma=cfg.sigma(members))
+        )
     return sorted(covers, key=lambda fl: fl.indices)
 
 
@@ -204,6 +204,9 @@ def find_nonsplitting_flag(cfg: GaleConfiguration, k: int):
     once, and a flat whose subtree failed is skipped.  Along a
     non-splitting chain the sigmas span the current flat, so their
     echelon basis is carried down instead of rebuilt from the flat.
+    The dead-flat set is thus ``defect.dual_variety_dim``'s memo on
+    (flat, span of the sigmas) in the case where that span is the
+    flat's own.
     """
     if k == 0:
         return ()

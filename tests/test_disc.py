@@ -318,6 +318,26 @@ def test_specialization(seven_point_b):
         check_specialization(seven_point_b, 7)
 
 
+def test_specialization_follows_the_class_sum_in_any_basis(seven_point_b):
+    # the same configuration in another basis of Q^2, with b_6 on the
+    # negative side of its class sum in both
+    other = gale_dual(dual_of(seven_point_b))
+    assert other.matrix.to_lists() == [
+        [1, 0], [1, 3], [-3, -2], [1, 1], [0, -1], [0, -3], [0, 2]
+    ]
+
+    def answers(b):
+        out = []
+        for j in range(b.n):
+            try:
+                out.append(check_specialization(b, j))
+            except NotPositiveMultiple:
+                out.append(None)
+        return out
+
+    assert answers(other) == answers(seven_point_b) == [True] * 6 + [None]
+
+
 def test_specialization_rejects_splitting_line():
     b6 = GaleConfiguration(
         [[1, 0], [-2, 1], [1, -2], [0, 1], [1, -1], [-1, 1]]

@@ -36,6 +36,7 @@ from discforge.lattice import IntMatrix, rank
 from discforge.matroid import (
     covering_flats,
     find_nonsplitting_flag,
+    flats_by_rank,
     flats_of_rank,
     reduce,
 )
@@ -105,6 +106,28 @@ def test_jacobian_rank_on_four_squares():
     assert a.n == 12
     _agree_jacobian(a)
     assert jacobian_dual_dim(a) < a.n - 2
+
+
+def test_jacobian_rank_on_three_cubes():
+    # n = 12, the default size bound, and defect
+    a = cayley([segment(3)] * 3)
+    assert a.n == 12
+    _agree_jacobian(a)
+    assert jacobian_dual_dim(a) == 9
+
+
+def test_jacobian_rank_past_the_default_size_bound(monkeypatch):
+    monkeypatch.setenv("DISCFORGE_SIZE_BOUND", "14")
+    a = cayley([segment(p) for p in (1, 2, 3, 4)])
+    assert a.n == 14
+    _agree_jacobian(a)
+    assert jacobian_dual_dim(a) == 10
+
+
+def test_flats_of_a_larger_dual_match_oracle():
+    b = gale_dual(cayley([segment(2), segment(2), segment(3)]))
+    assert sum(len(level) for level in flats_by_rank(b, 5)) == 287
+    _agree_flats(b)
 
 
 # homogenized planar point sets: columns (1, x, y), n <= 9
