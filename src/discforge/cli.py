@@ -156,12 +156,15 @@ def cmd_defect(args) -> int:
 
     b = gale_side(_config(args))
     report = is_dual_defect(b)
-    # once the verdict has accepted B, only the size bound can refuse
-    # the dimension walk
-    try:
-        dim = dual_variety_dim(b)
-    except SizeBound:
-        dim = None
+    # a non-defect verdict carries a verified flag, so the dual is a
+    # hypersurface; only a defect verdict needs the dimension walk, and
+    # once the verdict has accepted B only the size bound can refuse it
+    dim = b.n - 2
+    if report.defect:
+        try:
+            dim = dual_variety_dim(b)
+        except SizeBound:
+            dim = None
     obj = {
         "defect": report.defect,
         "witness": _one_based(report.witness),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from .config import GaleConfiguration, gale_side
@@ -33,6 +34,7 @@ from .errors import (
 )
 from .lattice import (
     IntMatrix,
+    integer_row,
     integer_solve,
     rank,
     rational_nullspace,
@@ -152,12 +154,16 @@ def horn_implicitize_rank2(cfg: GaleConfiguration) -> SparsePolynomial:
 
     The Horn parametrization is birational (Kapranov), so the curve's
     degree D is its number of poles: each row of the reduced
-    configuration contributes max(0, -b_1, -b_2).  One integer nullspace
-    over the monomials of degree <= D at D^2 + 1 distinct curve points,
-    sampled at t = 1, -1, 2, -2, ..., gives the equation: by Bezout
-    every kernel vector contains the irreducible curve, so the kernel
-    must be one-dimensional.  Curves of degree above MAX_CURVE_DEGREE
-    raise Unsupported before any sampling.
+    configuration contributes max(0, -b_1, -b_2).  The equation spans
+    the kernel of the N = (D+1)(D+2)/2 monomials of degree <= D at
+    D^2 + 1 distinct curve points, sampled at t = 1, -1, 2, -2, ...: by
+    Bezout every kernel vector contains the irreducible curve, so the
+    kernel must be one-dimensional.  That kernel lies inside the kernel
+    of the first N - 1 sample rows, which is eliminated alone; when it is
+    one vector, integer dot products with the other rows certify it, or
+    show the full kernel is zero.  Only a wider leading kernel falls back
+    to eliminating all D^2 + 1 rows.  Curves of degree above
+    MAX_CURVE_DEGREE raise Unsupported before any sampling.
     """
     if cfg.m != 2:
         raise ValueError("implicitization requires codimension 2")
@@ -191,9 +197,15 @@ def horn_implicitize_rank2(cfg: GaleConfiguration) -> SparsePolynomial:
         except OnExceptionalLocus:
             pass
     monos = [(a, total - a) for total in range(deg + 1) for a in range(total + 1)]
-    kernel = rational_nullspace(
-        [z1**a * z2**b for (a, b) in monos] for (z1, z2) in samples
-    )
+    rows = [integer_row(z1**a * z2**b for (a, b) in monos) for (z1, z2) in samples]
+    # the kernel of all rows lies in the kernel of the first N - 1: if
+    # that is one vector, it is the answer or the kernel is zero
+    lead = len(monos) - 1
+    kernel = rational_nullspace(rows[:lead])
+    if len(kernel) != 1:
+        kernel = rational_nullspace(rows)
+    elif any(sum(map(mul, row, kernel[0])) for row in rows[lead:]):
+        kernel = []
     if len(kernel) != 1:
         raise KernelDimensionNotOne(
             f"interpolation kernel has dimension {len(kernel)} at degree {deg}"

@@ -230,6 +230,40 @@ def horn_kapranov_point(a: IntMatrix, b: IntMatrix, lam, t) -> tuple[Fraction, .
     return tuple(out)
 
 
+def oracle_horn_curve(rows) -> SparsePolynomial:
+    """Implicit equation of the Horn curve of a rank-2 dual by the full
+    interpolation: D is the pole count of the rows summed per line, and
+    the monomials of degree <= D at D^2 + 1 distinct curve points, taken
+    at t = 1, -1, 2, -2, ..., all go through ``oracle_nullspace``, whose
+    kernel must be one vector."""
+    rows = [tuple(r) for r in rows]
+    sums: dict[tuple[int, int], tuple[int, int]] = {}
+    for b1, b2 in rows:
+        g = gcd(b1, b2)
+        line = max((b1 // g, b2 // g), (-b1 // g, -b2 // g))
+        s1, s2 = sums.get(line, (0, 0))
+        sums[line] = (s1 + b1, s2 + b2)
+    deg = sum(max(0, -s1, -s2) for s1, s2 in sums.values())
+    samples: dict[tuple[Fraction, Fraction], None] = {}
+    t = 0
+    while len(samples) < deg * deg + 1:
+        t = -t if t > 0 else 1 - t
+        lin = [Fraction(b1 * t + b2) for b1, b2 in rows]
+        if all(lin):
+            z = [_evaluate_monomial([r[k] for r in rows], lin) for k in (0, 1)]
+            samples[tuple(z)] = None
+    monos = [(a, d - a) for d in range(deg + 1) for a in range(d + 1)]
+    kernel = oracle_nullspace(
+        [[z1**a * z2**b for a, b in monos] for z1, z2 in samples]
+    )
+    if len(kernel) != 1:
+        raise ValueError(f"interpolation kernel has dimension {len(kernel)}")
+    coeffs = clear_denominators(kernel[0])
+    return SparsePolynomial(
+        2, {monos[i]: c for i, c in enumerate(coeffs) if c}
+    ).normalize()
+
+
 # -- flag and support-chain searches ---------------------------------------
 
 

@@ -10,7 +10,7 @@ import discforge.config
 import discforge.defect
 from discforge.cli import main
 from discforge.config import SIZE_BOUND_ENV, PointConfiguration
-from discforge.defect import dual_variety_dim
+from discforge.defect import dirocco_fixtures, dual_variety_dim
 from discforge.matroid import Flat
 from discforge.poly import poly_from_json_dict
 
@@ -135,6 +135,27 @@ def test_defect_takes_the_gale_dual_once(capsys, monkeypatch):
     assert rc == 0
     assert json.loads(out)["dual_dim"] == 2
     assert len(calls) == 1
+
+
+def test_defect_dim_of_a_non_defect_verdict_skips_the_walk(capsys, monkeypatch):
+    # the rational normal curve with n = 14 is past the default size bound,
+    # which refuses the walk; its verified flag gives n - 2 without it
+    def no_walk(cfg):
+        raise AssertionError("dimension walk on a non-defect verdict")
+
+    monkeypatch.setattr(discforge.defect, "dual_variety_dim", no_walk)
+    curve = json.dumps([[1] * 14, list(range(14))])
+    rc, out, _ = run(capsys, ["defect", "--matrix", curve])
+    assert rc == 0
+    obj = json.loads(out)
+    assert obj["defect"] is False and obj["dual_dim"] == 12
+
+
+def test_defect_dim_matches_the_walk_on_named_fixtures(capsys):
+    for name, a in dirocco_fixtures() + [("cubic", PointConfiguration(json.loads(CUBIC)))]:
+        rc, out, _ = run(capsys, ["defect", "--matrix", json.dumps(a.matrix.to_lists())])
+        assert rc == 0, name
+        assert json.loads(out)["dual_dim"] == dual_variety_dim(a), name
 
 
 def test_defect_witness_one_based(capsys):

@@ -4,7 +4,9 @@ The degree of the Horn curve is its number of poles, one count per dual
 row, so it is known before any sampling; the discriminant built from the
 curve must vanish on the Horn-Kapranov uniformization.  So must the
 glued discriminants of rank-2 duals with one collinear class, whose
-inner factor is an implicitized curve.
+inner factor is an implicitized curve.  The implicitizer eliminates only
+the first N - 1 sample rows and certifies that kernel on the rest; the
+full interpolation of ``oracles`` must give the same polynomial.
 """
 
 from fractions import Fraction
@@ -14,12 +16,13 @@ from time import perf_counter
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import horn_kapranov_point, oracle_lattice_index
+from oracles import horn_kapranov_point, oracle_horn_curve, oracle_lattice_index
 
+import discforge.disc
 from discforge.config import GaleConfiguration, dual_of
 from discforge.defect import is_dual_defect
 from discforge.disc import discriminant, horn_implicitize_rank2
-from discforge.errors import Unsupported
+from discforge.errors import KernelDimensionNotOne, Unsupported
 from discforge.lattice import IntMatrix
 
 
@@ -66,6 +69,51 @@ def test_curve_degree_is_the_pole_count(rows, data):
         # a zero coordinate is off the torus; the discriminant need not vanish
         if all(c):
             assert result.poly.evaluate(c) == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(irreducible_rank2_rows())
+def test_leading_rows_give_the_full_interpolation(rows):
+    assert horn_implicitize_rank2(GaleConfiguration(rows)) == oracle_horn_curve(rows)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_leading_rows_on_the_degree_k_family(k):
+    rows = [(1, 0), (0, 1), (-k, -(k - 1)), (k - 1, k - 2)]
+    assert horn_implicitize_rank2(GaleConfiguration(rows)) == oracle_horn_curve(rows)
+
+
+# D = 3: ten monomials, so the first nine of the ten sample rows are leading
+CUBIC_ROWS = [(1, 0), (0, 1), (-3, -2), (2, 1)]
+
+
+def _nullspace_calls(monkeypatch, replies):
+    """Record the row counts handed to the nullspace; ``replies`` maps a
+    row count to a stand-in kernel."""
+    real = discforge.disc.rational_nullspace
+    calls = []
+
+    def fake(rows):
+        calls.append(len(rows))
+        return replies[len(rows)] if len(rows) in replies else real(rows)
+
+    monkeypatch.setattr(discforge.disc, "rational_nullspace", fake)
+    return calls
+
+
+def test_a_wide_leading_kernel_falls_through_to_all_rows(monkeypatch):
+    expected = horn_implicitize_rank2(GaleConfiguration(CUBIC_ROWS))
+    calls = _nullspace_calls(monkeypatch, {9: [(1,) * 10, (2,) * 10]})
+    assert horn_implicitize_rank2(GaleConfiguration(CUBIC_ROWS)) == expected
+    assert calls == [9, 10]
+
+
+def test_a_leading_vector_off_a_later_row_is_refused(monkeypatch):
+    # z1^3 alone cannot vanish at the tenth curve point
+    calls = _nullspace_calls(monkeypatch, {9: [(0,) * 9 + (1,)]})
+    with pytest.raises(KernelDimensionNotOne, match="dimension 0 at degree 3"):
+        horn_implicitize_rank2(GaleConfiguration(CUBIC_ROWS))
+    assert calls == [9]
 
 
 def _directions():
