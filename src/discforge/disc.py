@@ -11,7 +11,8 @@ dual-defect configurations have trivial discriminant 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import accumulate, repeat
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -34,7 +35,6 @@ from .errors import (
 )
 from .lattice import (
     IntMatrix,
-    integer_row,
     integer_solve,
     rank,
     rational_nullspace,
@@ -118,32 +118,33 @@ def horn_eval(cfg: GaleConfiguration, zeta) -> tuple[Fraction, ...]:
     """Exact value of the Horn map at a rational parameter point.
 
     Coordinate k is prod_i (b_i . zeta)^{b_ik}; a vanishing linear factor
-    under a nonzero row puts zeta on the exceptional locus.
+    under a nonzero row puts zeta on the exceptional locus.  The columns
+    of a homogeneous configuration sum to zero, so the map has degree 0
+    in zeta: zeta is scaled by the lcm of its denominators, each linear
+    form is then an integer, and each coordinate is one quotient of the
+    product of its positive powers by the product of its negative ones.
     """
     if not cfg.is_homogeneous():
         raise NotHomogeneous("Horn map needs a homogeneous configuration")
     zeta = [Fraction(z) for z in zeta]
     if len(zeta) != cfg.m:
         raise ValueError("parameter arity mismatch")
-    vals = []
-    for i in range(cfg.n):
-        row = cfg.row(i)
+    scale = lcm(*(z.denominator for z in zeta))
+    zeta = [z.numerator * (scale // z.denominator) for z in zeta]
+    num = [1] * cfg.m
+    den = [1] * cfg.m
+    for i, row in enumerate(cfg.rows()):
         if not any(row):
-            vals.append(None)
             continue
-        v = sum(Fraction(c) * z for c, z in zip(row, zeta))
+        v = sum(map(mul, row, zeta))
         if v == 0:
             raise OnExceptionalLocus(f"linear factor of row {i} vanishes")
-        vals.append(v)
-    out = []
-    for k in range(cfg.m):
-        acc = Fraction(1)
-        for i in range(cfg.n):
-            e = cfg.row(i)[k]
-            if e and vals[i] is not None:
-                acc *= vals[i] ** e
-        out.append(acc)
-    return tuple(out)
+        for k, e in enumerate(row):
+            if e > 0:
+                num[k] *= v**e
+            elif e < 0:
+                den[k] *= v**-e
+    return tuple(map(Fraction, num, den))
 
 
 MAX_CURVE_DEGREE = 16
@@ -158,12 +159,16 @@ def horn_implicitize_rank2(cfg: GaleConfiguration) -> SparsePolynomial:
     the kernel of the N = (D+1)(D+2)/2 monomials of degree <= D at
     D^2 + 1 distinct curve points, sampled at t = 1, -1, 2, -2, ...: by
     Bezout every kernel vector contains the irreducible curve, so the
-    kernel must be one-dimensional.  That kernel lies inside the kernel
-    of the first N - 1 sample rows, which is eliminated alone; when it is
-    one vector, integer dot products with the other rows certify it, or
-    show the full kernel is zero.  Only a wider leading kernel falls back
-    to eliminating all D^2 + 1 rows.  Curves of degree above
-    MAX_CURVE_DEGREE raise Unsupported before any sampling.
+    kernel must be one-dimensional.  Each sample z_k = p_k / q_k gives an
+    integer row from the powers of p_1, q_1, p_2, q_2: the entry of
+    z_1^a z_2^b is p_1^a p_2^b L / (q_1^a q_2^b), with L the lcm of the
+    q_1^a q_2^(D-a), so the row is a positive multiple of the rational
+    one.  The kernel lies inside the kernel of the first N - 1 sample
+    rows, which is eliminated alone; when it is one vector, integer dot
+    products with the other rows certify it, or show the full kernel is
+    zero.  Only a wider leading kernel falls back to eliminating all
+    D^2 + 1 rows.  Curves of degree above MAX_CURVE_DEGREE raise
+    Unsupported before any sampling.
     """
     if cfg.m != 2:
         raise ValueError("implicitization requires codimension 2")
@@ -197,7 +202,14 @@ def horn_implicitize_rank2(cfg: GaleConfiguration) -> SparsePolynomial:
         except OnExceptionalLocus:
             pass
     monos = [(a, total - a) for total in range(deg + 1) for a in range(total + 1)]
-    rows = [integer_row(z1**a * z2**b for (a, b) in monos) for (z1, z2) in samples]
+    rows = []
+    for z1, z2 in samples:
+        p1, q1, p2, q2 = (
+            list(accumulate(repeat(x, deg), mul, initial=1))
+            for x in (z1.numerator, z1.denominator, z2.numerator, z2.denominator)
+        )
+        scale = lcm(*(q1[a] * q2[deg - a] for a in range(deg + 1)))
+        rows.append([p1[a] * p2[b] * (scale // (q1[a] * q2[b])) for a, b in monos])
     # the kernel of all rows lies in the kernel of the first N - 1: if
     # that is one vector, it is the answer or the kernel is zero
     lead = len(monos) - 1

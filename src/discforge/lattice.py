@@ -295,26 +295,22 @@ def smallest_multiplier(rows: IntMatrix, w) -> int:
     return lcm(*(q.denominator for q in y))
 
 
-def integer_row(row) -> list[int]:
-    """A row of ints or Fractions scaled to integers by the lcm of its
-    denominators."""
-    row = list(row)
-    mult = lcm(*(x.denominator for x in row))
-    return [x.numerator * (mult // x.denominator) for x in row]
-
-
 def rational_nullspace(rows) -> list[tuple[int, ...]]:
     """Basis of the rational nullspace {v : M v = 0} of a matrix.
 
     Accepts any nested iterable of ints or Fractions; each row is scaled
-    to integers by ``integer_row`` and eliminated by ``bareiss``.  For
-    each free column f, v[f] is the last pivot d, the other free
-    coordinates are 0, and back-substitution fills the pivot coordinates:
-    by Cramer's rule each is a minor of the integer matrix, so every
-    division is exact.  Returned vectors are primitive integer
+    to integers by the lcm of its denominators and eliminated by
+    ``bareiss``.  For each free column f, v[f] is the last pivot d, the
+    other free coordinates are 0, and back-substitution fills the pivot
+    coordinates: by Cramer's rule each is a minor of the integer matrix,
+    so every division is exact.  Returned vectors are primitive integer
     vectors, positive in their free coordinate.
     """
-    a = [integer_row(row) for row in rows]
+    a = []
+    for row in rows:
+        row = list(row)
+        mult = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (mult // x.denominator) for x in row])
     if not a:
         return []
     nc = len(a[0])

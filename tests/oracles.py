@@ -26,7 +26,8 @@ rank come from closing every subset of that size, and complementary
 planes from a scan over row pairs.
 
 The lattice index is the gcd of every maximal minor (determinants from
-the shared Bareiss elimination), and Horn-Kapranov points
+the shared Bareiss elimination), the Horn map is a product of Fraction
+powers of the linear forms, and Horn-Kapranov points
 (B lam) * t^A give coefficient vectors on the discriminant of any
 non-defect configuration, whichever route computed it.  The Jacobian of
 that parametrization gives the dual dimension with no flat or flag at
@@ -47,6 +48,7 @@ from discforge.config import (
     gale_dual,
     standard_form,
 )
+from discforge.errors import NotHomogeneous, OnExceptionalLocus
 from discforge.lattice import IntMatrix, bareiss, rank
 from discforge.matroid import Flat
 from discforge.poly import SparsePolynomial
@@ -227,6 +229,37 @@ def horn_kapranov_point(a: IntMatrix, b: IntMatrix, lam, t) -> tuple[Fraction, .
         for i in range(a.rows):
             v *= Fraction(t[i]) ** a.row(i)[j]
         out.append(v)
+    return tuple(out)
+
+
+def oracle_horn_map(cfg: GaleConfiguration, zeta) -> tuple[Fraction, ...]:
+    """The Horn map prod_i (b_i . zeta)^{b_ik} in plain Fraction
+    arithmetic: every linear form and every power is a Fraction, zero
+    rows are skipped, and a vanishing form under a nonzero row raises
+    ``OnExceptionalLocus``."""
+    if not cfg.is_homogeneous():
+        raise NotHomogeneous("Horn map needs a homogeneous configuration")
+    zeta = [Fraction(z) for z in zeta]
+    if len(zeta) != cfg.m:
+        raise ValueError("parameter arity mismatch")
+    vals = []
+    for i in range(cfg.n):
+        row = cfg.row(i)
+        if not any(row):
+            vals.append(None)
+            continue
+        v = sum(Fraction(c) * z for c, z in zip(row, zeta))
+        if v == 0:
+            raise OnExceptionalLocus(f"linear factor of row {i} vanishes")
+        vals.append(v)
+    out = []
+    for k in range(cfg.m):
+        acc = Fraction(1)
+        for i in range(cfg.n):
+            e = cfg.row(i)[k]
+            if e and vals[i] is not None:
+                acc *= vals[i] ** e
+        out.append(acc)
     return tuple(out)
 
 

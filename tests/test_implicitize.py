@@ -6,7 +6,9 @@ curve must vanish on the Horn-Kapranov uniformization.  So must the
 glued discriminants of rank-2 duals with one collinear class, whose
 inner factor is an implicitized curve.  The implicitizer eliminates only
 the first N - 1 sample rows and certifies that kernel on the rest; the
-full interpolation of ``oracles`` must give the same polynomial.
+full interpolation of ``oracles`` must give the same polynomial.  The
+Horn map itself, in integer linear forms, must agree with the plain
+Fraction map of ``oracles``, exceptional locus included.
 """
 
 from fractions import Fraction
@@ -14,15 +16,25 @@ from math import gcd
 from time import perf_counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import horn_kapranov_point, oracle_horn_curve, oracle_lattice_index
+from oracles import (
+    horn_kapranov_point,
+    oracle_horn_curve,
+    oracle_horn_map,
+    oracle_lattice_index,
+)
 
 import discforge.disc
 from discforge.config import GaleConfiguration, dual_of
 from discforge.defect import is_dual_defect
-from discforge.disc import discriminant, horn_implicitize_rank2
-from discforge.errors import KernelDimensionNotOne, Unsupported
+from discforge.disc import discriminant, horn_eval, horn_implicitize_rank2
+from discforge.errors import (
+    KernelDimensionNotOne,
+    NotHomogeneous,
+    OnExceptionalLocus,
+    Unsupported,
+)
 from discforge.lattice import IntMatrix
 
 
@@ -55,6 +67,42 @@ def irreducible_rank2_rows(draw):
 nonzero = st.integers(-4, 4).filter(bool)
 
 
+@st.composite
+def horn_map_inputs(draw):
+    """m = 1, 2 or 3 columns with entries in [-2, 2], zero rows mixed in,
+    homogeneous in most draws; and a parameter point of Fractions p/q
+    with q of either sign and mostly not 1, so the linear forms often
+    vanish and the denominators differ between coordinates."""
+    m = draw(st.integers(1, 3))
+    entry = st.integers(-2, 2)
+    rows = draw(st.lists(st.tuples(*[entry] * m), min_size=1, max_size=4))
+    rows += [(0,) * m] * draw(st.integers(0, 2))
+    last = tuple(-sum(r[k] for r in rows) for k in range(m))
+    if draw(st.integers(0, 4)) == 0:
+        last = draw(st.tuples(*[entry] * m))
+    rows.append(last)
+    order = draw(st.permutations(range(len(rows))))
+    denominator = st.sampled_from([-6, -4, -3, -2, -1, 1, 2, 3, 5])
+    zeta = draw(st.tuples(*[st.builds(Fraction, st.integers(-3, 3), denominator)] * m))
+    return GaleConfiguration([rows[i] for i in order]), zeta
+
+
+def _outcome(horn_map, cfg, zeta):
+    try:
+        value = horn_map(cfg, zeta)
+    except (NotHomogeneous, OnExceptionalLocus) as exc:
+        return type(exc), str(exc)
+    assert all(type(x) is Fraction for x in value)
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(horn_map_inputs())
+def test_horn_map_matches_the_fraction_oracle(drawn):
+    cfg, zeta = drawn
+    assert _outcome(horn_eval, cfg, zeta) == _outcome(oracle_horn_map, cfg, zeta)
+
+
 @settings(max_examples=25, deadline=None)
 @given(irreducible_rank2_rows(), st.data())
 def test_curve_degree_is_the_pole_count(rows, data):
@@ -71,8 +119,14 @@ def test_curve_degree_is_the_pole_count(rows, data):
             assert result.poly.evaluate(c) == 0
 
 
+# D = 3; the linear forms t - 1, t + 2, 1, -2t - 2 vanish at t = 1, -1
+# and -2, so the sampler must skip three parameter values
+SKIPPED_SAMPLE_ROWS = [(1, -1), (1, 2), (0, 1), (-2, -2)]
+
+
 @settings(max_examples=25, deadline=None)
 @given(irreducible_rank2_rows())
+@example(SKIPPED_SAMPLE_ROWS)
 def test_leading_rows_give_the_full_interpolation(rows):
     assert horn_implicitize_rank2(GaleConfiguration(rows)) == oracle_horn_curve(rows)
 
