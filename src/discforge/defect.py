@@ -31,13 +31,13 @@ from .errors import (
 from .lattice import IntMatrix, echelon_extend, rank, span_key
 from .matroid import (
     closure,
-    covering_flats,
     decompose,
     find_nonsplitting_flag,
     flats_by_rank,
     flats_of_rank,
     is_nonsplitting_flag,
     reduce,
+    walk_covers,
 )
 
 
@@ -200,46 +200,41 @@ def dual_variety_dim(cfg) -> int:
 
     Equals n - m - 1 plus the largest rank of (sigma_F1, ..., sigma_F(m-1))
     over complete flags F1 < ... < F(m-1) of flats of the Gale dual B,
-    walked depth first up ``covering_flats`` from the rank-0 flat.  This
+    walked depth first up ``walk_covers`` from the rank-0 flat.  This
     is rank(A^T | 1_F1 | ... | 1_F(m-1)) - 1: B^T kills the row span of A,
     which has rank n - m, and sends each indicator 1_F to sigma_F.
 
     What a walk can still reach from a flat F depends only on F and on
     the span V of the sigmas so far, which lies inside span(F): each
     state (F, V) is expanded once, and a state whose rank plus the steps
-    left cannot beat the best rank found is not expanded.
+    left cannot beat the best rank found is not expanded.  When dim V =
+    rank F, V = span(F) and the state is keyed by F alone.
     """
     b = _validate(cfg)
     _check_size(b)
+    return b.n - b.m - 1 + _dim_walk(b, {}, set(), closure(b, ()), (), -1)
+
+
+def _dim_walk(b, memo, seen, flat, basis, best) -> int:
+    """The larger of ``best`` and the largest sigma rank of a complete
+    flag through ``flat`` whose sigmas so far have the echelon basis
+    ``basis``; -1 when there is none and ``best`` is -1."""
     m = b.m
-    best = -1
-    # each flat's covers are computed once, since a flat lies on every
-    # flag through it, and shared as one Flat per distinct flat
-    ups: dict[tuple[int, ...], list] = {}
-    nodes: dict[tuple[int, ...], object] = {}
-    seen: set = set()
-
-    def dfs(flat, basis):
-        nonlocal best
-        if len(basis) + m - 1 - flat.rank <= best:
-            return
-        if flat.rank == m - 1:
-            best = len(basis)
-            return
+    if len(basis) + m - 1 - flat.rank <= best:
+        return best
+    if flat.rank == m - 1:
+        return len(basis)
+    state = flat.indices
+    if len(basis) < flat.rank:
         state = (flat.indices, span_key(basis))
-        if state in seen:
-            return
-        seen.add(state)
-        if flat.indices not in ups:
-            ups[flat.indices] = [
-                nodes.setdefault(c.indices, c) for c in covering_flats(b, flat)
-            ]
-        for cover in ups[flat.indices]:
-            if best < m - 1:
-                dfs(cover, echelon_extend(basis, cover.sigma))
-
-    dfs(closure(b, ()), ())
-    return b.n - m - 1 + best
+    if state in seen:
+        return best
+    seen.add(state)
+    for cover in walk_covers(b, memo, flat):
+        if best < m - 1:
+            ext = echelon_extend(basis, cover.sigma)
+            best = _dim_walk(b, memo, seen, cover, ext, best)
+    return best
 
 
 class RhoReport(NamedTuple):

@@ -127,38 +127,64 @@ def covering_flats(cfg: GaleConfiguration, flat: Flat) -> list[Flat]:
 
     Each row outside the flat is reduced once against the flat's echelon
     basis.  The residual is zero at the basis pivots, so it is the row's
-    image in a complement of the flat's span; rows whose sign-normal
-    residuals agree lie in one cover."""
-    base = _basis(cfg, flat.indices)
-    inside = set(flat.indices)
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for j in range(cfg.n):
-        if j not in inside:
-            piv, res = echelon_extend(base, cfg.row(j))[-1]
-            if res[piv] < 0:
-                res = tuple(-x for x in res)
-            classes.setdefault(res, []).append(j)
-    covers = []
-    for new in classes.values():
-        members = sorted(flat.indices + tuple(new))
-        covers.append(
-            Flat(indices=tuple(members), rank=len(base) + 1, sigma=cfg.sigma(members))
-        )
-    return sorted(covers, key=lambda fl: fl.indices)
+    image in a complement of the flat's span; rows whose primitive
+    residuals, made positive at their pivots, agree lie in one cover."""
+    return walk_covers(cfg, {}, flat)
+
+
+def walk_covers(cfg: GaleConfiguration, memo: dict, flat: Flat) -> list[Flat]:
+    """``covering_flats`` inside one walk of the lattice of flats.
+
+    ``memo`` maps the indices of each flat met so far to [flat, (rows,
+    basis), covers]; ``rows`` pairs row indices with vectors, and
+    reducing those outside the flat against ``basis`` gives their
+    residuals.  A flat new to ``memo`` reduces the configuration's rows
+    against its whole echelon basis.  A cover enters ``memo`` once, with
+    its parent's residuals and the residual of its new members, which
+    extends the parent's basis to its own, so that each row is reduced
+    against one row when the cover is first expanded.  A cover's sigma
+    is its parent's plus its new members.
+    """
+    node = memo.get(flat.indices)
+    if node is None:
+        rows = [(j, cfg.row(j)) for j in range(cfg.n)]
+        node = memo[flat.indices] = [flat, (rows, _basis(cfg, flat.indices)), None]
+    if node[2] is None:
+        parent, base = node[1]
+        rows, classes = [], {}
+        for j, v in parent:
+            if j not in flat.indices:
+                p, r = echelon_extend(base, v)[-1]
+                if r[p] < 0:
+                    r = tuple(-x for x in r)
+                rows.append((j, r))
+                classes.setdefault((p, r), []).append(j)
+        covers = []
+        for res, new in classes.items():
+            indices = tuple(sorted(flat.indices + tuple(new)))
+            if indices not in memo:
+                sigma = tuple(map(sum, zip(flat.sigma, *map(cfg.row, new))))
+                cover = Flat(indices=indices, rank=flat.rank + 1, sigma=sigma)
+                memo[indices] = [cover, (rows, (res,)), None]
+            covers.append(memo[indices][0])
+        node[1:] = [None, sorted(covers, key=lambda fl: fl.indices)]
+    return node[2]
 
 
 def flats_by_rank(cfg: GaleConfiguration, top: int) -> list[list[Flat]]:
     """The flats of rank 0, 1, ..., top, one index-ordered list per rank.
 
     Each rank is built from the covers of the rank below; every flat of
-    a geometric lattice covers one of the rank below, so none is missed.
+    a geometric lattice covers one of the rank below, so none is missed,
+    and one walk memo builds each flat once.
     """
     levels = [[closure(cfg, ())]] if top >= 0 else []
+    memo: dict = {}
     for _ in range(top):
         covers = {
             cover.indices: cover
             for fl in levels[-1]
-            for cover in covering_flats(cfg, fl)
+            for cover in walk_covers(cfg, memo, fl)
         }
         levels.append([covers[key] for key in sorted(covers)])
     return levels
@@ -197,7 +223,7 @@ def find_nonsplitting_flag(cfg: GaleConfiguration, k: int):
     """Depth-first search for a non-splitting flag of length k.
 
     Returns a tuple of Flats (empty tuple for k = 0) or None.  The search
-    walks ``covering_flats`` up from the rank-0 flat, trying covers in
+    walks ``walk_covers`` up from the rank-0 flat, trying covers in
     index order, so the first witness is deterministic.  Every flat in a
     chain has rank equal to its depth, so whether a flag continues below
     a flat depends on the flat alone: each flat is expanded at most
@@ -210,24 +236,25 @@ def find_nonsplitting_flag(cfg: GaleConfiguration, k: int):
     """
     if k == 0:
         return ()
-    dead: set[tuple[int, ...]] = set()
+    return _flag_search(cfg, k, {}, set(), closure(cfg, ()), ())
 
-    def dfs(flat, basis):
-        if len(basis) == k:
-            return ()
-        for cand in covering_flats(cfg, flat):
-            if cand.indices in dead:
-                continue
-            ext = echelon_extend(basis, cand.sigma)
-            if ext is basis:
-                continue
-            found = dfs(cand, ext)
-            if found is not None:
-                return (cand,) + found
-            dead.add(cand.indices)
-        return None
 
-    return dfs(closure(cfg, ()), ())
+def _flag_search(cfg, k, memo, dead, flat, basis):
+    """The rest of a non-splitting flag of length k above ``flat``, whose
+    sigmas so far have the echelon basis ``basis``, or None."""
+    if len(basis) == k:
+        return ()
+    for cand in walk_covers(cfg, memo, flat):
+        if cand.indices in dead:
+            continue
+        ext = echelon_extend(basis, cand.sigma)
+        if ext is basis:
+            continue
+        found = _flag_search(cfg, k, memo, dead, cand, ext)
+        if found is not None:
+            return (cand,) + found
+        dead.add(cand.indices)
+    return None
 
 
 def restrict_to_span(cfg: GaleConfiguration, indices) -> GaleConfiguration:

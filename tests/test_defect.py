@@ -1,5 +1,6 @@
 """Defect classification, dual dimension, support lattices, rho bound."""
 
+import gc
 import time
 
 import pytest
@@ -31,6 +32,7 @@ from discforge.errors import (
     PyramidInput,
     SizeBound,
 )
+from discforge.matroid import find_nonsplitting_flag, flats_by_rank
 
 EXPECTED_FIXTURES = {
     "cayley-1-1-1": ("degenerate", 3),
@@ -162,7 +164,8 @@ def test_dual_dim_size_bound_precedes_enumeration(monkeypatch, twisted_cubic):
     def no_enumeration(*args):
         raise AssertionError("flats enumerated before the size check")
 
-    monkeypatch.setattr(discforge.defect, "covering_flats", no_enumeration)
+    # the dimension walk reaches the flats only through walk_covers
+    monkeypatch.setattr(discforge.defect, "walk_covers", no_enumeration)
     monkeypatch.delenv(SIZE_BOUND_ENV, raising=False)
     start = time.perf_counter()
     with pytest.raises(SizeBound, match="n <= 12"):
@@ -171,6 +174,27 @@ def test_dual_dim_size_bound_precedes_enumeration(monkeypatch, twisted_cubic):
     monkeypatch.setenv(SIZE_BOUND_ENV, "3")
     with pytest.raises(SizeBound, match="n <= 3"):
         dual_variety_dim(twisted_cubic)
+
+
+def test_walks_leave_no_reference_cycles():
+    # a walk's memo and search state are freed when the call returns,
+    # not left for the cyclic collector
+    a = cayley([segment(2), segment(2), segment(3)])
+    b = gale_dual(a)
+    walks = [
+        lambda: dual_variety_dim(a),
+        lambda: is_dual_defect(a),
+        lambda: find_nonsplitting_flag(b, b.m - 1),
+        lambda: flats_by_rank(b, b.rank),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for walk in walks:
+            walk()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_size_bound_env(monkeypatch):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from discforge.config import GaleConfiguration
+import discforge.matroid
+from discforge.config import GaleConfiguration, cayley, gale_dual, segment
 from discforge.defect import is_dual_defect
 from discforge.errors import (
     NotHomogeneous,
@@ -132,6 +133,21 @@ def test_flats_by_rank_levels(seven_point_b):
     assert levels == [flats_of_rank(seven_point_b, k) for k in range(3)]
     assert flats_by_rank(seven_point_b, 0) == [[closure(seven_point_b, ())]]
     assert flats_by_rank(seven_point_b, -1) == []
+
+
+def test_flats_by_rank_builds_each_flat_once(monkeypatch):
+    # 287 flats, each reached from every flat it covers: 1,150 cover edges
+    b = gale_dual(cayley([segment(2), segment(2), segment(3)]))
+    built = []
+
+    def counting_flat(**fields):
+        built.append(fields["indices"])
+        return Flat(**fields)
+
+    monkeypatch.setattr(discforge.matroid, "Flat", counting_flat)
+    levels = flats_by_rank(b, 5)
+    assert sum(len(level) for level in levels) == 287
+    assert sorted(built) == sorted(fl.indices for level in levels for fl in level)
 
 
 def test_is_nonsplitting_flag(seven_point_b):

@@ -39,6 +39,7 @@ from discforge.matroid import (
     flats_by_rank,
     flats_of_rank,
     reduce,
+    walk_covers,
 )
 
 
@@ -50,6 +51,9 @@ def _agree_planes(red: GaleConfiguration) -> None:
 
 
 def _agree_flats(b: GaleConfiguration) -> None:
+    # one walk memo over all ranks: above rank 0 every flat's covers come
+    # from the residuals carried up from the flat that first reached it
+    memo: dict = {}
     for k in range(rank(b.matrix) + 1):
         flats = flats_of_rank(b, k)
         assert flats == oracle_flats_of_rank(b, k)
@@ -60,7 +64,9 @@ def _agree_flats(b: GaleConfiguration) -> None:
                 if i not in fl.indices
             )
             distinct = {c.indices: c for c in closures}
-            assert covering_flats(b, fl) == [distinct[key] for key in sorted(distinct)]
+            covers = [distinct[key] for key in sorted(distinct)]
+            assert walk_covers(b, memo, fl) == covers
+            assert covering_flats(b, fl) == covers
 
 
 def _agree_jacobian(a: PointConfiguration) -> None:
@@ -98,6 +104,18 @@ NAMED = {
 @pytest.mark.parametrize("name", list(NAMED))
 def test_named_configurations_match_oracle(name):
     _agree(NAMED[name])
+
+
+@pytest.mark.parametrize("parts", [(1, 2, 2, 2), (2, 2, 3)])
+def test_larger_cayley_dual_dims_match_oracle(parts):
+    a = cayley([segment(p) for p in parts])
+    assert dual_variety_dim(a) == oracle_dual_variety_dim(a) == 7
+
+
+def test_larger_cayley_flag_search_matches_oracle():
+    b = gale_dual(cayley([segment(1), segment(2), segment(2), segment(2)]))
+    assert b.m == 6
+    assert find_nonsplitting_flag(b, 5) == oracle_flag_search(b, 5)
 
 
 def test_jacobian_rank_on_four_squares():
@@ -172,4 +190,29 @@ def test_plane_split_matches_pair_scan(rows):
 @settings(max_examples=60, deadline=None)
 @given(rank4_rows)
 def test_flats_and_covers_of_degenerate_rows_match_oracle(rows):
+    _agree_flats(GaleConfiguration(rows))
+
+
+@st.composite
+def walk_rows(draw):
+    """At most 10 rows of length at most 6, each fresh, zero, or a
+    multiple of an earlier row."""
+    m = draw(st.integers(1, 6))
+    rows: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "parallel"]))
+        if kind == "zero":
+            rows.append((0,) * m)
+        elif kind == "parallel" and rows:
+            row = draw(st.sampled_from(rows))
+            c = draw(st.sampled_from([-2, -1, 1, 2]))
+            rows.append(tuple(c * x for x in row))
+        else:
+            rows.append(tuple(draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))))
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(walk_rows())
+def test_carried_residuals_match_cold_covers_and_oracle(rows):
     _agree_flats(GaleConfiguration(rows))
