@@ -28,12 +28,12 @@ from .errors import (
     PyramidInput,
     SizeBound,
 )
-from .lattice import IntMatrix, echelon_extend, rank, span_key
+from .lattice import IntMatrix, rank
 from .matroid import (
     closure,
     decompose,
     find_nonsplitting_flag,
-    flats_by_rank,
+    flag_walk,
     flats_of_rank,
     is_nonsplitting_flag,
     reduce,
@@ -173,23 +173,32 @@ def support_lattice(cfg) -> SupportLattice:
     either side.
 
     Supports are exactly the complements of flats of the dual row matroid
-    of rank below m, which keeps the poset graded.
+    of rank below m, which keeps the poset graded.  The flats are walked
+    level by level through ``walk_covers`` with one memo, and each cover
+    G < F of flats is the cover edge from the support of F to that of G.
     """
     b = gale_side(cfg)
     _check_size(b)
     m = b.m
     full = frozenset(range(b.n))
-    height = {
-        full - set(fl.indices): m - k
-        for k, level in enumerate(flats_by_rank(b, m - 1))
-        for fl in level
-    }
+    height: dict[frozenset, int] = {}
+    above: dict[frozenset, list[frozenset]] = {}
+    level = [closure(b, ())]
+    memo: dict = {}
+    for h in range(m, 0, -1):
+        upper = {}
+        for fl in level:
+            s = full.difference(fl.indices)
+            height[s] = h
+            if h == 1:
+                continue
+            for cover in walk_covers(b, memo, fl):
+                upper[cover.indices] = cover
+                above.setdefault(full.difference(cover.indices), []).append(s)
+        level = upper.values()
     elements = sorted(height, key=lambda s: (len(s), sorted(s)))
-    covers: dict[frozenset, list[frozenset]] = {e: [] for e in elements}
-    for low in elements:
-        for high in elements:
-            if height[high] == height[low] + 1 and low < high:
-                covers[low].append(high)
+    order = {e: i for i, e in enumerate(elements)}
+    covers = {e: sorted(above.get(e, ()), key=order.get) for e in elements}
     return SupportLattice(
         n=b.n, m=m, elements=tuple(elements), height=height, covers=covers
     )
@@ -200,41 +209,15 @@ def dual_variety_dim(cfg) -> int:
 
     Equals n - m - 1 plus the largest rank of (sigma_F1, ..., sigma_F(m-1))
     over complete flags F1 < ... < F(m-1) of flats of the Gale dual B,
-    walked depth first up ``walk_covers`` from the rank-0 flat.  This
-    is rank(A^T | 1_F1 | ... | 1_F(m-1)) - 1: B^T kills the row span of A,
-    which has rank n - m, and sends each indicator 1_F to sigma_F.
-
-    What a walk can still reach from a flat F depends only on F and on
-    the span V of the sigmas so far, which lies inside span(F): each
-    state (F, V) is expanded once, and a state whose rank plus the steps
-    left cannot beat the best rank found is not expanded.  When dim V =
-    rank F, V = span(F) and the state is keyed by F alone.
+    which ``matroid.flag_walk`` finds from the rank-0 flat with no rank
+    to beat.  This is rank(A^T | 1_F1 | ... | 1_F(m-1)) - 1: B^T kills
+    the row span of A, which has rank n - m, and sends each indicator
+    1_F to sigma_F.
     """
     b = _validate(cfg)
     _check_size(b)
-    return b.n - b.m - 1 + _dim_walk(b, {}, set(), closure(b, ()), (), -1)
-
-
-def _dim_walk(b, memo, seen, flat, basis, best) -> int:
-    """The larger of ``best`` and the largest sigma rank of a complete
-    flag through ``flat`` whose sigmas so far have the echelon basis
-    ``basis``; -1 when there is none and ``best`` is -1."""
-    m = b.m
-    if len(basis) + m - 1 - flat.rank <= best:
-        return best
-    if flat.rank == m - 1:
-        return len(basis)
-    state = flat.indices
-    if len(basis) < flat.rank:
-        state = (flat.indices, span_key(basis))
-    if state in seen:
-        return best
-    seen.add(state)
-    for cover in walk_covers(b, memo, flat):
-        if best < m - 1:
-            ext = echelon_extend(basis, cover.sigma)
-            best = _dim_walk(b, memo, seen, cover, ext, best)
-    return best
+    best = flag_walk(b, b.m - 1, {}, set(), closure(b, ()), (), (-1, ()))
+    return b.n - b.m - 1 + best[0]
 
 
 class RhoReport(NamedTuple):
@@ -251,11 +234,7 @@ def rho_bound(cfg) -> RhoReport:
     The Gale side is reduced first; parts refer to rows of the reduced
     configuration mapped back to original class index sets.
     """
-    b = gale_side(cfg)
-    if not b.is_homogeneous():
-        raise NotHomogeneous("decomposition needs a homogeneous configuration")
-    if b.rank < b.m:
-        raise DegenerateDual("dual vectors must span the full codimension")
+    b = _validate(cfg)
     red = reduce(b)
     dec = decompose(red.config, lambda sub: is_dual_defect(sub).defect)
     parts = tuple(

@@ -19,7 +19,7 @@ from .errors import (
     NotIrreducible,
     PyramidInput,
 )
-from .lattice import IntMatrix, echelon_extend, integer_solve, row_hermite
+from .lattice import IntMatrix, echelon_extend, integer_solve, row_hermite, span_key
 
 
 class Flat(NamedTuple):
@@ -222,39 +222,54 @@ def is_nonsplitting_flag(cfg: GaleConfiguration, flats) -> bool:
 def find_nonsplitting_flag(cfg: GaleConfiguration, k: int):
     """Depth-first search for a non-splitting flag of length k.
 
-    Returns a tuple of Flats (empty tuple for k = 0) or None.  The search
-    walks ``walk_covers`` up from the rank-0 flat, trying covers in
-    index order, so the first witness is deterministic.  Every flat in a
-    chain has rank equal to its depth, so whether a flag continues below
-    a flat depends on the flat alone: each flat is expanded at most
-    once, and a flat whose subtree failed is skipped.  Along a
-    non-splitting chain the sigmas span the current flat, so their
-    echelon basis is carried down instead of rebuilt from the flat.
-    The dead-flat set is thus ``defect.dual_variety_dim``'s memo on
-    (flat, span of the sigmas) in the case where that span is the
-    flat's own.
+    Returns a tuple of Flats (empty tuple for k = 0) or None.  A flag
+    F1 < ... < Fk is non-splitting exactly when its sigmas are
+    independent, so this is ``flag_walk`` up to rank k with the best
+    rank set at k - 1: every splitting step is pruned, and the first
+    flag to reach rank k, trying covers in index order, is returned.
     """
-    if k == 0:
-        return ()
-    return _flag_search(cfg, k, {}, set(), closure(cfg, ()), ())
+    rank, flags = flag_walk(cfg, k, {}, set(), closure(cfg, ()), (), (k - 1, ()))
+    return flags if rank == k else None
 
 
-def _flag_search(cfg, k, memo, dead, flat, basis):
-    """The rest of a non-splitting flag of length k above ``flat``, whose
-    sigmas so far have the echelon basis ``basis``, or None."""
-    if len(basis) == k:
-        return ()
-    for cand in walk_covers(cfg, memo, flat):
-        if cand.indices in dead:
+def flag_walk(cfg, k, memo, seen, flat, basis, best):
+    """The best (rank, flags) over flags of flats from ``flat`` up to
+    rank k, walked depth first up ``walk_covers`` in index order.
+
+    ``basis`` is the echelon basis of the sigmas so far and ``best`` the
+    (rank, flags) pair to beat; ``flags`` are the flats above ``flat``
+    of a flag whose sigmas reach that rank.  ``best`` itself is returned
+    when no flag through ``flat`` beats it, so a caller sees an
+    improvement by identity.  The walk stops once the rank reaches k.
+
+    What a walk can still reach from a flat F depends only on F and on
+    the span V of the sigmas so far, which lies inside span(F): each
+    state (F, V) is expanded once, and a state whose rank plus the steps
+    left cannot beat the best rank is not expanded.  When dim V = rank F,
+    V = span(F) and the state is keyed by F alone; such a state
+    dominates every other state on F, so a cover whose flat is in
+    ``seen`` is skipped before its sigma is reduced.
+    """
+    if len(basis) + k - flat.rank <= best[0]:
+        return best
+    if flat.rank == k:
+        return len(basis), ()
+    state = flat.indices
+    if len(basis) < flat.rank:
+        state = (flat.indices, span_key(basis))
+    if state in seen:
+        return best
+    seen.add(state)
+    for cover in walk_covers(cfg, memo, flat):
+        if best[0] == k:
+            break
+        if cover.indices in seen:
             continue
-        ext = echelon_extend(basis, cand.sigma)
-        if ext is basis:
-            continue
-        found = _flag_search(cfg, k, memo, dead, cand, ext)
-        if found is not None:
-            return (cand,) + found
-        dead.add(cand.indices)
-    return None
+        ext = echelon_extend(basis, cover.sigma)
+        found = flag_walk(cfg, k, memo, seen, cover, ext, best)
+        if found is not best:
+            best = found[0], (cover,) + found[1]
+    return best
 
 
 def restrict_to_span(cfg: GaleConfiguration, indices) -> GaleConfiguration:

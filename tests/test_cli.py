@@ -23,6 +23,8 @@ CAY222 = (
 # a dual whose point side repeats a point, and a rank-deficient dual
 REPEATED_POINT_B = "[[1,0,0],[0,1,0],[0,0,1],[-3,-3,-2],[2,2,1]]"
 RANK_DEFICIENT_B = "[[1,0],[1,0],[-2,0]]"
+# a zero row: the point side is a pyramid over the last point
+PYRAMID_B = "[[1,0],[0,1],[-1,-1],[0,0]]"
 
 
 def run(capsys, argv):
@@ -123,6 +125,13 @@ def test_rank_deficient_side_b_is_refused_alike(capsys):
         rc, out, err = run(capsys, [cmd, "--side", "b", "--matrix", RANK_DEFICIENT_B])
         assert (rc, out) == (3, ""), cmd
         assert "DegenerateDual" in err, cmd
+
+
+def test_pyramid_side_b_is_refused_alike(capsys):
+    for cmd in ("dualdim", "defect", "decompose"):
+        rc, out, err = run(capsys, [cmd, "--side", "b", "--matrix", PYRAMID_B])
+        assert (rc, out) == (3, ""), cmd
+        assert "PyramidInput" in err, cmd
 
 
 def test_defect_takes_the_gale_dual_once(capsys, monkeypatch):

@@ -6,6 +6,7 @@ import time
 import pytest
 
 import discforge.defect
+import discforge.matroid
 from discforge.config import (
     DEFAULT_SIZE_BOUND,
     SIZE_BOUND_ENV,
@@ -165,7 +166,7 @@ def test_dual_dim_size_bound_precedes_enumeration(monkeypatch, twisted_cubic):
         raise AssertionError("flats enumerated before the size check")
 
     # the dimension walk reaches the flats only through walk_covers
-    monkeypatch.setattr(discforge.defect, "walk_covers", no_enumeration)
+    monkeypatch.setattr(discforge.matroid, "walk_covers", no_enumeration)
     monkeypatch.delenv(SIZE_BOUND_ENV, raising=False)
     start = time.perf_counter()
     with pytest.raises(SizeBound, match="n <= 12"):

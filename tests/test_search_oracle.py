@@ -75,9 +75,15 @@ def _agree_jacobian(a: PointConfiguration) -> None:
     assert (dim < a.n - 2) == is_dual_defect(a).defect
 
 
+def _agree_flags(b: GaleConfiguration) -> None:
+    # below m - 1 the walk stops at a lower rank, with a smaller target
+    for k in range(b.m):
+        assert find_nonsplitting_flag(b, k) == oracle_flag_search(b, k), k
+
+
 def _agree(a: PointConfiguration) -> None:
     b = gale_dual(a)
-    assert find_nonsplitting_flag(b, b.m - 1) == oracle_flag_search(b, b.m - 1)
+    _agree_flags(b)
     assert dual_variety_dim(a) == oracle_dual_variety_dim(a)
     _agree_jacobian(a)
     # either side gives the same dimension and the same verdict
@@ -113,9 +119,18 @@ def test_larger_cayley_dual_dims_match_oracle(parts):
 
 
 def test_larger_cayley_flag_search_matches_oracle():
-    b = gale_dual(cayley([segment(1), segment(2), segment(2), segment(2)]))
-    assert b.m == 6
-    assert find_nonsplitting_flag(b, 5) == oracle_flag_search(b, 5)
+    for parts in [(1, 2, 2, 2), (2, 2, 3)]:
+        b = gale_dual(cayley([segment(p) for p in parts]))
+        assert b.m == 6
+        _agree_flags(b)
+
+
+def test_larger_cayley_support_lattice_matches_oracle():
+    a = cayley([segment(2), segment(2), segment(3)])
+    assert a.n == 10
+    lat = support_lattice(a)
+    assert sum(map(len, lat.covers.values())) == 1150
+    assert (lat.elements, lat.height, lat.covers) == oracle_support_lattice(a)
 
 
 def test_jacobian_rank_on_four_squares():
