@@ -213,10 +213,24 @@ def dual_variety_dim(cfg) -> int:
     to beat.  This is rank(A^T | 1_F1 | ... | 1_F(m-1)) - 1: B^T kills
     the row span of A, which has rank n - m, and sends each indicator
     1_F to sigma_F.
+
+    The walk runs on the reduced configuration R = ``reduce(B)`` when R
+    still has rank m; the size bound reads the n of B.  A flat holds
+    each line class whole, so a merged class is one element of R with
+    the same share of every sigma, and a splitting class C adds 0 to
+    every sigma.  F -> F minus C sends a flag of B to a chain of flats
+    of R of rank below m with the same sigmas, and a complete flag of R
+    through that chain has at least their rank; G -> closure_B(G) sends
+    a complete flag of R to one of B with the same ranks and sigmas.  So
+    the best rank is the same.  When R has rank below m (a degenerate
+    reduction, such as that of cayley(1,1,1,2)) its flats of rank m - 1
+    may be all of R, the first map fails, and the walk stays on B.
     """
     b = _validate(cfg)
     _check_size(b)
-    best = flag_walk(b, b.m - 1, {}, set(), closure(b, ()), (), (-1, ()))
+    red = reduce(b).config
+    walk = red if red.rank == b.m else b
+    best = flag_walk(walk, b.m - 1, {}, set(), closure(walk, ()), (), (-1, ()))
     return b.n - b.m - 1 + best[0]
 
 

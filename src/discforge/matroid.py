@@ -132,40 +132,52 @@ def covering_flats(cfg: GaleConfiguration, flat: Flat) -> list[Flat]:
     return walk_covers(cfg, {}, flat)
 
 
+def _residual(basis: tuple, vec) -> tuple:
+    """The (pivot, row) that ``vec``, outside the span of ``basis``,
+    adds to it, with the row made positive at its pivot."""
+    p, r = echelon_extend(basis, vec)[-1]
+    return p, r if r[p] > 0 else tuple(-x for x in r)
+
+
 def walk_covers(cfg: GaleConfiguration, memo: dict, flat: Flat) -> list[Flat]:
     """``covering_flats`` inside one walk of the lattice of flats.
 
     ``memo`` maps the indices of each flat met so far to [flat, (rows,
-    basis), covers]; ``rows`` pairs row indices with vectors, and
-    reducing those outside the flat against ``basis`` gives their
-    residuals.  A flat new to ``memo`` reduces the configuration's rows
-    against its whole echelon basis.  A cover enters ``memo`` once, with
-    its parent's residuals and the residual of its new members, which
-    extends the parent's basis to its own, so that each row is reduced
-    against one row when the cover is first expanded.  A cover's sigma
-    is its parent's plus its new members.
+    new), covers].  ``rows`` pairs each row index with its residual
+    (pivot, primitive row positive at the pivot) against the basis of
+    the flat that first reached this one, and ``new`` is the row that
+    extends that basis to this flat's, or None when ``rows`` are already
+    reduced against this flat's whole basis, as for a flat new to
+    ``memo``.  So each row outside a cover is reduced against one row
+    when the cover is expanded, and a residual that is zero at the new
+    row's pivot keeps its residual and class key unchanged.  A cover's
+    sigma is its parent's plus its new members.
     """
     node = memo.get(flat.indices)
     if node is None:
-        rows = [(j, cfg.row(j)) for j in range(cfg.n)]
-        node = memo[flat.indices] = [flat, (rows, _basis(cfg, flat.indices)), None]
+        base, inside = _basis(cfg, flat.indices), set(flat.indices)
+        rows = [
+            (j, _residual(base, cfg.row(j))) for j in range(cfg.n) if j not in inside
+        ]
+        node = memo[flat.indices] = [flat, (rows, None), None]
     if node[2] is None:
-        parent, base = node[1]
+        parent, new = node[1]
+        inside = set(flat.indices)
         rows, classes = [], {}
-        for j, v in parent:
-            if j not in flat.indices:
-                p, r = echelon_extend(base, v)[-1]
-                if r[p] < 0:
-                    r = tuple(-x for x in r)
-                rows.append((j, r))
-                classes.setdefault((p, r), []).append(j)
+        for j, res in parent:
+            if j in inside:
+                continue
+            if new is not None and res[1][new[0]]:
+                res = _residual((new,), res[1])
+            rows.append((j, res))
+            classes.setdefault(res, []).append(j)
         covers = []
-        for res, new in classes.items():
-            indices = tuple(sorted(flat.indices + tuple(new)))
+        for res, members in classes.items():
+            indices = tuple(sorted(flat.indices + tuple(members)))
             if indices not in memo:
-                sigma = tuple(map(sum, zip(flat.sigma, *map(cfg.row, new))))
+                sigma = tuple(map(sum, zip(flat.sigma, *map(cfg.row, members))))
                 cover = Flat(indices=indices, rank=flat.rank + 1, sigma=sigma)
-                memo[indices] = [cover, (rows, (res,)), None]
+                memo[indices] = [cover, (rows, res), None]
             covers.append(memo[indices][0])
         node[1:] = [None, sorted(covers, key=lambda fl: fl.indices)]
     return node[2]
@@ -198,24 +210,34 @@ def flats_of_rank(cfg: GaleConfiguration, k: int) -> list[Flat]:
 
 
 def is_nonsplitting_flag(cfg: GaleConfiguration, flats) -> bool:
-    """Check that flats form a strictly increasing flag with each sigma
-    outside the previous flat's span."""
-    prev: tuple[int, ...] = ()
-    prev_set: set[int] = set()
+    """Check that flats form a strictly increasing flag of closed flats of
+    ranks 1, 2, ..., with their member sums, each sigma outside the
+    previous flat's span.
+
+    One echelon basis is carried up the flag: each flat extends the
+    previous flat's basis by its new members, and it is closed when no
+    row outside it lies in the extended span."""
+    basis: tuple = ()
+    prev: set[int] = set()
     for j, fl in enumerate(flats):
-        if fl.rank != j + 1:
+        inside = set(fl.indices)
+        if fl.rank != j + 1 or not prev <= inside:
             return False
-        if not prev_set <= set(fl.indices):
-            return False
-        if closure(cfg, fl.indices).indices != fl.indices:
+        if fl.indices != tuple(i for i in range(cfg.n) if i in inside):
             return False
         if fl.sigma != cfg.sigma(fl.indices):
             return False
-        basis = _basis(cfg, prev)
         if echelon_extend(basis, fl.sigma) is basis:
             return False
-        prev = fl.indices
-        prev_set = set(fl.indices)
+        for i in fl.indices:
+            if i not in prev:
+                basis = echelon_extend(basis, cfg.row(i))
+        if len(basis) != fl.rank:
+            return False
+        for i in range(cfg.n):
+            if i not in inside and echelon_extend(basis, cfg.row(i)) is basis:
+                return False
+        prev = inside
     return True
 
 
@@ -244,14 +266,13 @@ def flag_walk(cfg, k, memo, seen, flat, basis, best):
 
     What a walk can still reach from a flat F depends only on F and on
     the span V of the sigmas so far, which lies inside span(F): each
-    state (F, V) is expanded once, and a state whose rank plus the steps
-    left cannot beat the best rank is not expanded.  When dim V = rank F,
+    state (F, V) is expanded once, and a cover whose rank plus the steps
+    left cannot beat the best rank is skipped before the recursive call,
+    so ``flat`` itself is taken to beat ``best``.  When dim V = rank F,
     V = span(F) and the state is keyed by F alone; such a state
     dominates every other state on F, so a cover whose flat is in
     ``seen`` is skipped before its sigma is reduced.
     """
-    if len(basis) + k - flat.rank <= best[0]:
-        return best
     if flat.rank == k:
         return len(basis), ()
     state = flat.indices
@@ -266,6 +287,8 @@ def flag_walk(cfg, k, memo, seen, flat, basis, best):
         if cover.indices in seen:
             continue
         ext = echelon_extend(basis, cover.sigma)
+        if len(ext) + k - cover.rank <= best[0]:
+            continue
         found = flag_walk(cfg, k, memo, seen, cover, ext, best)
         if found is not best:
             best = found[0], (cover,) + found[1]

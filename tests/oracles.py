@@ -31,7 +31,8 @@ powers of the linear forms, and Horn-Kapranov points
 (B lam) * t^A give coefficient vectors on the discriminant of any
 non-defect configuration, whichever route computed it.  The Jacobian of
 that parametrization gives the dual dimension with no flat or flag at
-all.
+all.  ``unreduced_dual_dim`` is the one exception: it is the library's
+own walk on the unreduced Gale dual, kept to check the reduction step.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from discforge.config import (
 )
 from discforge.errors import NotHomogeneous, OnExceptionalLocus
 from discforge.lattice import IntMatrix, bareiss, rank
-from discforge.matroid import Flat
+from discforge.matroid import Flat, closure, flag_walk
 from discforge.poly import SparsePolynomial
 
 MAX_DEGREE = 12
@@ -423,6 +424,15 @@ def oracle_dual_variety_dim(a: PointConfiguration) -> int:
 
     starts = [s for s in elements if height[s] == 1]
     return max(chain_rank(c) for s in starts for c in chains([s])) - 1
+
+
+def unreduced_dual_dim(b: GaleConfiguration) -> int:
+    """The dimension walk of ``defect.dual_variety_dim`` run on B itself,
+    never on its reduction: n - m - 1 plus the best rank of the sigmas
+    of a complete flag of flats of B.  It shares the walk with the
+    library and checks only the step from B to ``reduce(B)``."""
+    best = flag_walk(b, b.m - 1, {}, set(), closure(b, ()), (), (-1, ()))
+    return b.n - b.m - 1 + best[0]
 
 
 def jacobian_dual_dim(a: PointConfiguration) -> int:

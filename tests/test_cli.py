@@ -414,6 +414,17 @@ def test_size_bound_flag_does_not_outlive_the_call(monkeypatch, capsys):
     assert dual_variety_dim(PointConfiguration(json.loads(CUBIC))) == 2
 
 
+def test_size_bound_reads_the_unreduced_n(monkeypatch, capsys):
+    # 13 dual rows in four line classes: past the bound, though the
+    # reduction has 4 rows
+    monkeypatch.delenv(SIZE_BOUND_ENV, raising=False)
+    rows = [[1, 0, 0]] * 4 + [[0, 1, 0]] * 4 + [[0, 0, 1]] * 4 + [[-4, -4, -4]]
+    argv = ["dualdim", "--side", "b", "--matrix", json.dumps(rows)]
+    rc, out, err = run(capsys, argv)
+    assert rc == 3 and out == ""
+    assert "SizeBound" in err and "n <= 12" in err
+
+
 def test_size_bound_env(monkeypatch, capsys):
     monkeypatch.setenv(SIZE_BOUND_ENV, "3")
     rc, _, err = run(capsys, ["dualdim", "--matrix", CUBIC])

@@ -33,7 +33,7 @@ from discforge.errors import (
     PyramidInput,
     SizeBound,
 )
-from discforge.matroid import find_nonsplitting_flag, flats_by_rank
+from discforge.matroid import find_nonsplitting_flag, flats_by_rank, reduce
 
 EXPECTED_FIXTURES = {
     "cayley-1-1-1": ("degenerate", 3),
@@ -175,6 +175,21 @@ def test_dual_dim_size_bound_precedes_enumeration(monkeypatch, twisted_cubic):
     monkeypatch.setenv(SIZE_BOUND_ENV, "3")
     with pytest.raises(SizeBound, match="n <= 3"):
         dual_variety_dim(twisted_cubic)
+
+
+# 13 rows in four line classes: the reduction has 4 rows
+THIRTEEN_ROWS = [[1, 0, 0]] * 4 + [[0, 1, 0]] * 4 + [[0, 0, 1]] * 4 + [[-4, -4, -4]]
+
+
+def test_dual_dim_size_bound_reads_the_unreduced_n(monkeypatch):
+    monkeypatch.delenv(SIZE_BOUND_ENV, raising=False)
+    b = GaleConfiguration(THIRTEEN_ROWS)
+    assert b.n == 13 and reduce(b).config.n == 4
+    with pytest.raises(SizeBound, match="n <= 12"):
+        dual_variety_dim(b)
+    # the reduction is a circuit, so B is not defect: dimension n - 2
+    monkeypatch.setenv(SIZE_BOUND_ENV, "13")
+    assert dual_variety_dim(b) == 13 - 2
 
 
 def test_walks_leave_no_reference_cycles():

@@ -166,6 +166,34 @@ def test_is_nonsplitting_flag(seven_point_b):
     )
 
 
+def test_tampered_flags_are_rejected():
+    # rows 0 and 1 are a splitting class (sigma 0) on the line of e1
+    b = GaleConfiguration(
+        [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [-1, -2, -2]]
+    )
+
+    def flat(*indices, rank=None):
+        rank = len(indices) if rank is None else rank
+        return Flat(indices=indices, rank=rank, sigma=b.sigma(indices))
+
+    line, plane = flat(2), flat(2, 3)
+    witness = find_nonsplitting_flag(b, 2)
+    assert witness == (line, plane)
+    assert is_nonsplitting_flag(b, witness)
+    tampered = [
+        (flat(0, 1, rank=1),),  # splitting at the first step: sigma 0
+        (line, flat(0, 1, 2, rank=2)),  # splitting: sigma in span(e2)
+        (line, flat(0, 2)),  # not closed: row 1 lies in the span
+        (flat(3, 2),),  # indices out of order
+        (flat(2, 3, rank=1),),  # a rank-2 flat that claims rank 1
+        (flat(4), plane),  # not nested: row 4 is outside the plane
+        (plane,),  # rank 2 at the first step
+        (line, Flat(indices=(2, 3), rank=2, sigma=(0, 1, 2))),  # wrong sigma
+    ]
+    for flag in tampered:
+        assert not is_nonsplitting_flag(b, flag), flag
+
+
 def test_find_nonsplitting_flag(seven_point_b):
     assert find_nonsplitting_flag(seven_point_b, 0) == ()
     flag = find_nonsplitting_flag(seven_point_b, 1)

@@ -14,6 +14,7 @@ from oracles import (
     oracle_flag_search,
     oracle_flats_of_rank,
     oracle_support_lattice,
+    unreduced_dual_dim,
 )
 
 from discforge.config import (
@@ -32,8 +33,10 @@ from discforge.defect import (
     is_dual_defect,
     support_lattice,
 )
-from discforge.lattice import IntMatrix, rank
+from discforge.errors import DuplicatePoint
+from discforge.lattice import IntMatrix, echelon_extend, rank
 from discforge.matroid import (
+    _residual,
     covering_flats,
     find_nonsplitting_flag,
     flats_by_rank,
@@ -231,3 +234,72 @@ def walk_rows(draw):
 @given(walk_rows())
 def test_carried_residuals_match_cold_covers_and_oracle(rows):
     _agree_flats(GaleConfiguration(rows))
+
+
+def test_a_cover_expansion_keeps_some_residuals_and_moves_others():
+    # expanding the cover {0, 5} of the rank-0 flat adds the basis row
+    # (1, 1, 0) with pivot 0: the residuals of rows 1 and 3 are zero
+    # there and are kept, that of row 2 moves to pivot 1 with its sign
+    # flipped, and that of row 4, (1, 1, 2), moves to pivot 2
+    rows = [(1, 1, 0), (0, 1, 2), (1, 0, 1), (0, 0, 1), (-1, -1, -2), (2, 2, 0)]
+    root = [_residual((), row) for row in rows]
+    new = root[0]
+    assert new == (0, (1, 1, 0))
+    assert [res[1][0] for res in root[1:5]] == [0, 1, 0, 1]
+    assert echelon_extend((new,), root[2][1])[-1] == (1, (0, -1, 1))
+    assert echelon_extend((new,), root[4][1])[-1] == (2, (0, 0, 1))
+    _agree_flats(GaleConfiguration(rows))
+
+
+@st.composite
+def dual_rows(draw):
+    """A homogeneous Gale dual of rank m <= 5 with at most 10 nonzero
+    rows: fresh rows, parallel and antiparallel copies of earlier rows,
+    and pairs v, -v, which form a splitting class unless a later row
+    joins their line, closed by minus the sum of the rows when that is
+    not zero."""
+    m = draw(st.integers(1, 5))
+    fresh = st.tuples(*[st.integers(-2, 2)] * m).filter(any)
+    size = draw(st.integers(m, 9))
+    rows: list[tuple[int, ...]] = []
+    while len(rows) < size:
+        kind = draw(st.sampled_from(["fresh", "fresh", "copy", "pair"]))
+        if kind == "copy" and rows:
+            row = draw(st.sampled_from(rows))
+            c = draw(st.sampled_from([-2, -1, 1, 2]))
+            rows.append(tuple(c * x for x in row))
+        elif kind == "pair" and len(rows) + 2 <= size:
+            v = draw(fresh)
+            rows += [v, tuple(-x for x in v)]
+        else:
+            rows.append(draw(fresh))
+    total = tuple(map(sum, zip(*rows)))
+    if any(total):
+        rows.append(tuple(-x for x in total))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(dual_rows())
+def test_reduced_dimension_walk_matches_unreduced_walk_and_jacobian(rows):
+    b = GaleConfiguration(rows)
+    assume(b.rank == b.m)
+    dim = dual_variety_dim(b)
+    assert dim == unreduced_dual_dim(b)
+    try:
+        a = dual_of(b)
+    except DuplicatePoint:
+        return
+    assert dim == jacobian_dual_dim(a)
+
+
+@pytest.mark.parametrize(
+    "parts, dim, degenerate", [((1, 2, 2, 2), 7, False), ((1, 1, 1, 2), 5, True)]
+)
+def test_reduced_dimension_walk_on_cayley_fixtures(parts, dim, degenerate):
+    # the reduction of cayley(1,1,1,2) loses rank, so its walk stays on B:
+    # the walk on its reduction would give 3
+    a = cayley([segment(p) for p in parts])
+    b = gale_dual(a)
+    assert (reduce(b).config.rank < b.m) is degenerate
+    assert dual_variety_dim(a) == unreduced_dual_dim(b) == dim
