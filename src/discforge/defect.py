@@ -121,7 +121,12 @@ def is_dual_defect(cfg) -> DefectReport:
                     "parts": [list(p) for p in orig],
                 },
             )
-    flag = find_nonsplitting_flag(b, m - 1)
+    # B has a flag of sigma rank m - 1 exactly when its full-rank
+    # reduction has one (``dual_variety_dim``); B gives the witness
+    walk = red.config if red.config.n < b.n else b
+    flag = find_nonsplitting_flag(walk, m - 1)
+    if flag is not None and walk is not b:
+        flag = find_nonsplitting_flag(b, m - 1)
     if flag is None:
         if m <= 4:
             raise DiscforgeError(

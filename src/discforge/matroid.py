@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from math import gcd
+from operator import add
 from typing import NamedTuple
 
 from .config import GaleConfiguration
@@ -145,37 +146,49 @@ def walk_covers(cfg: GaleConfiguration, memo: dict, flat: Flat) -> list[Flat]:
     ``memo`` maps the indices of each flat met so far to [flat, (rows,
     new), covers].  ``rows`` pairs each row index with its residual
     (pivot, primitive row positive at the pivot) against the basis of
-    the flat that first reached this one, and ``new`` is the row that
-    extends that basis to this flat's, or None when ``rows`` are already
-    reduced against this flat's whole basis, as for a flat new to
-    ``memo``.  So each row outside a cover is reduced against one row
-    when the cover is expanded, and a residual that is zero at the new
-    row's pivot keeps its residual and class key unchanged.  A cover's
-    sigma is its parent's plus its new members.
+    the flat that first reached this one, and ``new`` is the residual of
+    this flat's new members, which extends that basis to this flat's, or
+    None when ``rows`` are already reduced against this flat's whole
+    basis, as for a flat new to ``memo``.  When the flat is expanded,
+    the rows whose residual is ``new`` are dropped and every other row
+    is reduced in place against ``new`` alone (a*v - f*r, then gcd and
+    sign); a residual that is zero at the new pivot keeps its residual
+    and class key.  A cover's sigma is its parent's plus its new members.
     """
+    data = cfg.matrix.data
     node = memo.get(flat.indices)
     if node is None:
         base, inside = _basis(cfg, flat.indices), set(flat.indices)
-        rows = [
-            (j, _residual(base, cfg.row(j))) for j in range(cfg.n) if j not in inside
-        ]
+        rows = [(j, _residual(base, data[j])) for j in range(cfg.n) if j not in inside]
         node = memo[flat.indices] = [flat, (rows, None), None]
     if node[2] is None:
-        parent, new = node[1]
-        inside = set(flat.indices)
-        rows, classes = [], {}
-        for j, res in parent:
-            if j in inside:
-                continue
-            if new is not None and res[1][new[0]]:
-                res = _residual((new,), res[1])
-            rows.append((j, res))
+        rows, new = node[1]
+        if new is not None:
+            parent, rows, (p, r) = rows, [], new
+            a = r[p]
+            for j, res in parent:
+                q, v = res
+                f = v[p]
+                if f:
+                    if res == new:
+                        continue
+                    # a residual pivoted before p keeps its pivot and sign
+                    w = [a * x - f * y for x, y in zip(v, r)]
+                    if q == p:
+                        q = next(i for i, x in enumerate(w) if x)
+                    g = gcd(*w) if w[q] > 0 else -gcd(*w)
+                    res = q, tuple(w) if g == 1 else tuple(x // g for x in w)
+                rows.append((j, res))
+        classes: dict = {}
+        for j, res in rows:
             classes.setdefault(res, []).append(j)
         covers = []
         for res, members in classes.items():
             indices = tuple(sorted(flat.indices + tuple(members)))
             if indices not in memo:
-                sigma = tuple(map(sum, zip(flat.sigma, *map(cfg.row, members))))
+                sigma = flat.sigma
+                for j in members:
+                    sigma = tuple(map(add, sigma, data[j]))
                 cover = Flat(indices=indices, rank=flat.rank + 1, sigma=sigma)
                 memo[indices] = [cover, (rows, res), None]
             covers.append(memo[indices][0])
@@ -266,29 +279,48 @@ def flag_walk(cfg, k, memo, seen, flat, basis, best):
 
     What a walk can still reach from a flat F depends only on F and on
     the span V of the sigmas so far, which lies inside span(F): each
-    state (F, V) is expanded once, and a cover whose rank plus the steps
-    left cannot beat the best rank is skipped before the recursive call,
-    so ``flat`` itself is taken to beat ``best``.  When dim V = rank F,
-    V = span(F) and the state is keyed by F alone; such a state
-    dominates every other state on F, so a cover whose flat is in
-    ``seen`` is skipped before its sigma is reduced.
+    cover's state (F, V) enters ``seen`` and is expanded once.  A cover
+    whose rank plus the steps left cannot beat the best rank is skipped,
+    so ``flat`` itself is taken to beat ``best``, and one of rank k beats
+    it outright.  When dim V = rank F, V = span(F) and the state is keyed
+    by F alone; such a state dominates every other state on F, so a
+    cover whose flat is in ``seen`` is skipped before its sigma is
+    reduced.  Otherwise V is keyed by ``lattice.span_key``, once per flat
+    for the covers that keep ``basis``.
     """
     if flat.rank == k:
         return len(basis), ()
-    state = flat.indices
-    if len(basis) < flat.rank:
-        state = (flat.indices, span_key(basis))
-    if state in seen:
-        return best
-    seen.add(state)
+    span = None
     for cover in walk_covers(cfg, memo, flat):
         if best[0] == k:
             break
         if cover.indices in seen:
             continue
-        ext = echelon_extend(basis, cover.sigma)
-        if len(ext) + k - cover.rank <= best[0]:
+        v = cover.sigma
+        for p, row in basis:
+            f = v[p]
+            if f:
+                a = row[p]
+                v = [a * x - f * y for x, y in zip(v, row)]
+        grow = any(v)
+        if len(basis) + grow + k - cover.rank <= best[0]:
             continue
+        if cover.rank == k:
+            best = len(basis) + grow, (cover,)
+            continue
+        if grow:
+            g = gcd(*v)
+            ext = basis + ((next(j for j, x in enumerate(v) if x), tuple(x // g for x in v)),)
+            state = cover.indices
+            if len(ext) < cover.rank:
+                state = cover.indices, span_key(ext)
+        else:
+            if span is None:
+                span = span_key(basis)
+            ext, state = basis, (cover.indices, span)
+        if state in seen:
+            continue
+        seen.add(state)
         found = flag_walk(cfg, k, memo, seen, cover, ext, best)
         if found is not best:
             best = found[0], (cover,) + found[1]

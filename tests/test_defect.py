@@ -121,6 +121,54 @@ def test_four_squares_flag_search_reach():
     assert dual_variety_dim(cfg) == 8
 
 
+def _count_searches(monkeypatch) -> list[int]:
+    """Row counts of the configurations the classifier searches."""
+    searched: list[int] = []
+    search = discforge.defect.find_nonsplitting_flag
+
+    def counting(cfg, k):
+        searched.append(cfg.n)
+        return search(cfg, k)
+
+    monkeypatch.setattr(discforge.defect, "find_nonsplitting_flag", counting)
+    return searched
+
+
+def test_a_full_rank_reduction_settles_a_defect_verdict(monkeypatch):
+    # the reduction of cayley(1,2,2,2) keeps rank 6 with 9 of B's 11 rows
+    b = gale_dual(cayley([segment(1)] + [segment(2)] * 3))
+    red = reduce(b).config
+    assert (b.n, red.n, red.rank, b.m) == (11, 9, 6, 6)
+    searched = _count_searches(monkeypatch)
+    rep = is_dual_defect(b)
+    assert rep.defect
+    assert rep.method == "flag-search"
+    assert rep.witness == {"kind": "no-nonsplitting-flag", "length": 5}
+    assert searched == [9]
+
+
+# 7 rows in four line classes: rows 0, 1 parallel, and rows 2, 4, 5 on
+# one line with row 4 antiparallel to the others
+SEVEN_REDUCIBLE_ROWS = [
+    (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 0), (0, 1, 0), (-3, -1, -1)
+]
+
+
+def test_a_reducible_non_defect_witness_is_a_flag_of_b(monkeypatch):
+    b = GaleConfiguration(SEVEN_REDUCIBLE_ROWS)
+    red = reduce(b).config
+    assert (red.n, red.rank) == (4, 3)
+    searched = _count_searches(monkeypatch)
+    rep = is_dual_defect(b)
+    assert not rep.defect
+    assert rep.method == "codim-3"
+    flag = find_nonsplitting_flag(b, b.m - 1)
+    assert rep.witness == {"kind": "flag", "flats": [list(fl.indices) for fl in flag]}
+    assert rep.witness["flats"] == [[0, 1], [0, 1, 2, 4, 5]]
+    # the reduction finds a flag, and B is searched for the witness
+    assert searched == [4, 7]
+
+
 def test_validation_errors():
     with pytest.raises(NotHomogeneous):
         is_dual_defect(GaleConfiguration([[1, 0], [0, 1]]))

@@ -1,10 +1,12 @@
 """Line classes, flats, flags, reduction and greedy decomposition."""
 
+from collections import Counter
+
 import pytest
 
 import discforge.matroid
 from discforge.config import GaleConfiguration, cayley, gale_dual, segment
-from discforge.defect import is_dual_defect
+from discforge.defect import dual_variety_dim, is_dual_defect
 from discforge.errors import (
     NotHomogeneous,
     NotIrreducible,
@@ -148,6 +150,35 @@ def test_flats_by_rank_builds_each_flat_once(monkeypatch):
     levels = flats_by_rank(b, 5)
     assert sum(len(level) for level in levels) == 287
     assert sorted(built) == sorted(fl.indices for level in levels for fl in level)
+
+
+def test_walks_reduce_in_place_past_the_root(monkeypatch):
+    # echelon_extend builds the root closure and the root residuals, at
+    # most n calls each; cover expansions and sigma tests reduce in
+    # place, so the walk's size shows only in walk_covers: 176 flats
+    # expanded by the exhausted flag search, 209 (flat, span) states by
+    # the dimension walk on the 9-row reduction of cayley(1,2,2,2)
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(discforge.matroid, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(discforge.matroid, name, wrapped)
+
+    counting("echelon_extend")
+    counting("walk_covers")
+    b = gale_dual(cayley([segment(2), segment(2), segment(3)]))
+    assert find_nonsplitting_flag(b, b.m - 1) is None
+    assert calls["echelon_extend"] <= 2 * b.n == 20
+    assert calls["walk_covers"] == 176
+    calls.clear()
+    assert dual_variety_dim(cayley([segment(1)] + [segment(2)] * 3)) == 7
+    assert calls["echelon_extend"] <= 2 * 9
+    assert calls["walk_covers"] == 209
 
 
 def test_is_nonsplitting_flag(seven_point_b):

@@ -4,7 +4,7 @@ the plain exhaustive searches in ``oracles``."""
 
 import pytest
 from conftest import SEVEN_ROWS
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     jacobian_dual_dim,
@@ -291,6 +291,24 @@ def test_reduced_dimension_walk_matches_unreduced_walk_and_jacobian(rows):
     except DuplicatePoint:
         return
     assert dim == jacobian_dual_dim(a)
+
+
+def _cayley_rows(*parts):
+    return gale_dual(cayley([segment(p) for p in parts])).matrix.to_lists()
+
+
+@settings(max_examples=150, deadline=None)
+@given(dual_rows())
+# random draws are rarely defect; these two are, with smaller reductions
+@example(_cayley_rows(1, 2, 3))
+@example(_cayley_rows(1, 3, 3))
+def test_a_full_rank_reduction_has_a_nonsplitting_flag_exactly_when_b_has(rows):
+    # ``is_dual_defect`` settles defect verdicts on the reduction
+    b = GaleConfiguration(rows)
+    red = reduce(b).config
+    assume(red.rank == b.m)
+    on_red = find_nonsplitting_flag(red, b.m - 1)
+    assert (on_red is None) == (find_nonsplitting_flag(b, b.m - 1) is None)
 
 
 @pytest.mark.parametrize(
