@@ -183,6 +183,8 @@ def support_lattice(cfg) -> SupportLattice:
     G < F of flats is the cover edge from the support of F to that of G.
     """
     b = gale_side(cfg)
+    if b.rank < b.m:
+        raise DegenerateDual("dual vectors must span the full codimension")
     _check_size(b)
     m = b.m
     full = frozenset(range(b.n))

@@ -472,22 +472,24 @@ def membership(cfg, point) -> bool:
 
 def check_restriction_grouping(cfg, k: int, ell: int) -> bool:
     """Equality of the two face restrictions x_k = 0 and x_l = 0 when the
-    dual vectors at k and l are positive multiples of each other."""
+    dual vectors at k and l are positive multiples of each other; the
+    indices and the dual vectors are checked before the discriminant."""
     b = gale_side(cfg)
-    result = discriminant(b)
-    n = result.poly.n
+    n = b.n
     if not 0 <= k < n or not 0 <= ell < n:
         raise ValueError("index out of range")
+    if k != ell:
+        rk, rl = b.row(k), b.row(ell)
+        if not any(rk) or not any(rl):
+            raise NotPositiveMultiple("zero dual vectors carry no line")
+        if _primitive_direction(rk) != _primitive_direction(rl):
+            raise NotPositiveMultiple("dual vectors span different lines")
+        piv = next(i for i, x in enumerate(rk) if x)
+        if (rk[piv] > 0) != (rl[piv] > 0):
+            raise NotPositiveMultiple("dual vectors point in opposite directions")
+    result = discriminant(b)
     if k == ell:
         return True
-    rk, rl = b.row(k), b.row(ell)
-    if not any(rk) or not any(rl):
-        raise NotPositiveMultiple("zero dual vectors carry no line")
-    if _primitive_direction(rk) != _primitive_direction(rl):
-        raise NotPositiveMultiple("dual vectors span different lines")
-    piv = next(i for i, x in enumerate(rk) if x)
-    if (rk[piv] > 0) != (rl[piv] > 0):
-        raise NotPositiveMultiple("dual vectors point in opposite directions")
     left = result.poly.specialize(k, 0)
     right = result.poly.specialize(ell, 0)
     pos_k = [i for i in range(n) if i != k]
@@ -500,11 +502,11 @@ def check_specialization(cfg, j: int, line=None) -> bool:
     the restriction x_j = 0?
 
     The line through b_j must be non-splitting and b_j must lie on its
-    positive side, where positive means the side of the class sum.
+    positive side, where positive means the side of the class sum; the
+    index, the line and its side are checked before the discriminant.
     """
     b = gale_side(cfg)
-    result = discriminant(b)
-    n = result.poly.n
+    n = b.n
     if not 0 <= j < n:
         raise ValueError("index out of range")
     if not any(b.row(j)):
@@ -523,6 +525,7 @@ def check_specialization(cfg, j: int, line=None) -> bool:
     beta_j = Fraction(b.row(j)[piv], w[piv])
     if beta_j <= 0:
         raise NotPositiveMultiple("b_j lies on the negative side of its line")
+    result = discriminant(b)
     h, u = row_hermite_transform(IntMatrix([[x] for x in w]))
     if h.row(0)[0] != 1:
         raise DiscforgeError("primitive direction must reduce to gcd 1")

@@ -123,8 +123,8 @@ def echelon_extend(basis: tuple, vec) -> tuple:
     ``basis`` is a tuple of (pivot, row) pairs, each row zero at the
     pivots of the rows before it.  ``vec`` is reduced against the rows;
     if it lies in their span the same basis object is returned, else a
-    new basis with the primitive residual appended, so ``len`` is the
-    rank of the span.
+    new basis with the residual appended, primitive and positive at its
+    pivot (its first nonzero entry), so ``len`` is the rank of the span.
     """
     v = list(vec)
     for p, row in basis:
@@ -135,31 +135,8 @@ def echelon_extend(basis: tuple, vec) -> tuple:
     piv = next((j for j, x in enumerate(v) if x), None)
     if piv is None:
         return basis
-    g = gcd(*v)
+    g = gcd(*v) if v[piv] > 0 else -gcd(*v)
     return basis + ((piv, tuple(x // g for x in v)),)
-
-
-def span_key(basis: tuple) -> tuple:
-    """The span of an ``echelon_extend`` basis as a hashable key: its
-    primitive reduced echelon rows, each positive at its pivot.
-
-    Sorted by pivot the rows are already in echelon form, since each is
-    zero before its pivot.  From the last row up, each row is made
-    primitive and its pivot column cleared from the rows above it.
-    """
-    pairs = sorted(basis)
-    rows = [row for _, row in pairs]
-    key = []
-    for i in reversed(range(len(rows))):
-        p, r = pairs[i][0], rows[i]
-        g = gcd(*r) if r[p] > 0 else -gcd(*r)
-        r = tuple(x // g for x in r)
-        key.append(r)
-        for k in range(i):
-            f = rows[k][p]
-            if f:
-                rows[k] = [r[p] * x - f * y for x, y in zip(rows[k], r)]
-    return tuple(reversed(key))
 
 
 def row_hermite_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

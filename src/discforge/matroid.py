@@ -20,7 +20,7 @@ from .errors import (
     NotIrreducible,
     PyramidInput,
 )
-from .lattice import IntMatrix, echelon_extend, integer_solve, row_hermite, span_key
+from .lattice import IntMatrix, echelon_extend, integer_solve, row_hermite
 
 
 class Flat(NamedTuple):
@@ -121,27 +121,13 @@ def closure(cfg: GaleConfiguration, indices) -> Flat:
     )
 
 
-def covering_flats(cfg: GaleConfiguration, flat: Flat) -> list[Flat]:
-    """The flats one rank above ``flat`` that contain it, ordered by index
-    tuple: the parallel classes of the contraction by the flat, each
-    joined with the flat.
-
-    Each row outside the flat is reduced once against the flat's echelon
-    basis.  The residual is zero at the basis pivots, so it is the row's
-    image in a complement of the flat's span; rows whose primitive
-    residuals, made positive at their pivots, agree lie in one cover."""
-    return walk_covers(cfg, {}, flat)
-
-
-def _residual(basis: tuple, vec) -> tuple:
-    """The (pivot, row) that ``vec``, outside the span of ``basis``,
-    adds to it, with the row made positive at its pivot."""
-    p, r = echelon_extend(basis, vec)[-1]
-    return p, r if r[p] > 0 else tuple(-x for x in r)
-
-
 def walk_covers(cfg: GaleConfiguration, memo: dict, flat: Flat) -> list[Flat]:
-    """``covering_flats`` inside one walk of the lattice of flats.
+    """The flats one rank above ``flat`` that contain it, ordered by
+    index tuple: the parallel classes of the contraction by the flat,
+    each joined with the flat.  Each row outside the flat is reduced
+    against the flat's echelon basis, and rows whose residuals agree
+    lie in one cover.  One ``memo`` serves a whole walk of the lattice
+    of flats, and ``{}`` a single call.
 
     ``memo`` maps the indices of each flat met so far to [flat, (rows,
     new), covers].  ``rows`` pairs each row index with its residual
@@ -159,7 +145,7 @@ def walk_covers(cfg: GaleConfiguration, memo: dict, flat: Flat) -> list[Flat]:
     node = memo.get(flat.indices)
     if node is None:
         base, inside = _basis(cfg, flat.indices), set(flat.indices)
-        rows = [(j, _residual(base, data[j])) for j in range(cfg.n) if j not in inside]
+        rows = [(j, echelon_extend(base, data[j])[-1]) for j in range(cfg.n) if j not in inside]
         node = memo[flat.indices] = [flat, (rows, None), None]
     if node[2] is None:
         rows, new = node[1]
@@ -271,7 +257,9 @@ def flag_walk(cfg, k, memo, seen, flat, basis, best):
     """The best (rank, flags) over flags of flats from ``flat`` up to
     rank k, walked depth first up ``walk_covers`` in index order.
 
-    ``basis`` is the echelon basis of the sigmas so far and ``best`` the
+    ``basis`` is the reduced echelon basis of the sigmas so far, sorted
+    by pivot: each row primitive, positive at its pivot and zero at every
+    other pivot, so equal spans have equal bases.  ``best`` is the
     (rank, flags) pair to beat; ``flags`` are the flats above ``flat``
     of a flag whose sigmas reach that rank.  ``best`` itself is returned
     when no flag through ``flat`` beats it, so a caller sees an
@@ -285,12 +273,10 @@ def flag_walk(cfg, k, memo, seen, flat, basis, best):
     it outright.  When dim V = rank F, V = span(F) and the state is keyed
     by F alone; such a state dominates every other state on F, so a
     cover whose flat is in ``seen`` is skipped before its sigma is
-    reduced.  Otherwise V is keyed by ``lattice.span_key``, once per flat
-    for the covers that keep ``basis``.
+    reduced.  Otherwise V is keyed by its basis.
     """
     if flat.rank == k:
         return len(basis), ()
-    span = None
     for cover in walk_covers(cfg, memo, flat):
         if best[0] == k:
             break
@@ -308,16 +294,22 @@ def flag_walk(cfg, k, memo, seen, flat, basis, best):
         if cover.rank == k:
             best = len(basis) + grow, (cover,)
             continue
+        ext = basis
         if grow:
-            g = gcd(*v)
-            ext = basis + ((next(j for j, x in enumerate(v) if x), tuple(x // g for x in v)),)
-            state = cover.indices
-            if len(ext) < cover.rank:
-                state = cover.indices, span_key(ext)
-        else:
-            if span is None:
-                span = span_key(basis)
-            ext, state = basis, (cover.indices, span)
+            # v is zero at the pivots of basis, whose rows stay positive
+            q = next(j for j, x in enumerate(v) if x)
+            g = gcd(*v) if v[q] > 0 else -gcd(*v)
+            v = tuple(x // g for x in v)
+            ext = [(q, v)]
+            for p, row in basis:
+                f = row[q]
+                if f:
+                    w = [v[q] * x - f * y for x, y in zip(row, v)]
+                    g = gcd(*w)
+                    row = tuple(x // g for x in w)
+                ext.append((p, row))
+            ext = tuple(sorted(ext))
+        state = cover.indices if len(ext) == cover.rank else (cover.indices, ext)
         if state in seen:
             continue
         seen.add(state)

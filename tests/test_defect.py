@@ -203,6 +203,13 @@ def test_support_lattice_empty_dual():
     assert lat.elements == () and lat.height == {} and lat.covers == {}
 
 
+def test_support_lattice_refuses_a_rank_deficient_dual():
+    # the empty set supports no nonzero kernel vector, so it must not be
+    # listed as a height-1 support of this rank-1 dual of codimension 2
+    with pytest.raises(DegenerateDual):
+        support_lattice(GaleConfiguration([[1, 0], [-1, 0]]))
+
+
 def test_support_lattice_size_bound(monkeypatch, twisted_cubic):
     monkeypatch.setenv(SIZE_BOUND_ENV, "3")
     with pytest.raises(SizeBound):

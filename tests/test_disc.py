@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import discforge.config
+import discforge.disc
+from discforge.cli import main
 from discforge.config import (
     GaleConfiguration,
     PointConfiguration,
@@ -316,6 +318,36 @@ def test_specialization(seven_point_b):
         check_specialization(seven_point_b, 4, line=(4, 5))
     with pytest.raises(ValueError):
         check_specialization(seven_point_b, 7)
+
+
+def test_checkers_refuse_before_the_discriminant(monkeypatch, capsys, seven_point_b):
+    # indices, lines and sides are checked first, so a refusal computes
+    # no discriminant; an accepted input, k == l included, computes it
+    def no_discriminant(cfg):
+        raise AssertionError("discriminant computed before the refusal")
+
+    monkeypatch.setattr(discforge.disc, "discriminant", no_discriminant)
+    small = [[2, 1], [-1, 1], [-1, -1], [0, -1]]
+    with pytest.raises(ValueError):
+        check_restriction_grouping(GaleConfiguration(small), 0, 9)
+    argv = ["check-grouping", "--side", "b", "--matrix", json.dumps(small), "--k", "1", "--l", "2"]
+    assert main(argv) == 3
+    assert "NotPositiveMultiple" in capsys.readouterr().err
+    with pytest.raises(NotPositiveMultiple):
+        check_restriction_grouping(seven_point_b, 4, 6)
+    with pytest.raises(ValueError):
+        check_specialization(seven_point_b, 7)
+    with pytest.raises(NotPositiveMultiple):
+        check_specialization(seven_point_b, 6)
+    with pytest.raises(InconsistentSplit):
+        check_specialization(seven_point_b, 4, line=(4, 5))
+    b6 = GaleConfiguration([[1, 0], [-2, 1], [1, -2], [0, 1], [1, -1], [-1, 1]])
+    with pytest.raises(SplittingLine):
+        check_specialization(b6, 4)
+    with pytest.raises(AssertionError):
+        check_restriction_grouping(seven_point_b, 2, 2)
+    with pytest.raises(AssertionError):
+        check_specialization(seven_point_b, 4)
 
 
 def test_specialization_follows_the_class_sum_in_any_basis(seven_point_b):

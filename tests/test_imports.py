@@ -1,10 +1,12 @@
 """Import footprint: ``import discforge`` loads no submodule, and each CLI
-subcommand loads only the modules it uses.
+subcommand loads only the modules it uses.  Every top-level definition in
+the package is used or exported.
 
 Each footprint is read from ``sys.modules`` in a fresh interpreter, so
 the checks do not depend on what this test process imported already.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -62,3 +64,46 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError):
         discforge.no_such_name  # noqa: B018
     assert not hasattr(discforge, "no_such_name")
+
+
+def _exported(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """Per module, the names in its literal ``__all__`` and those the
+    package's ``_HOME`` table assigns to it."""
+    out: dict[str, set[str]] = {mod: set() for mod in trees}
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            if not (isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name)):
+                continue
+            target = stmt.targets[0].id
+            if target == "__all__" and isinstance(stmt.value, (ast.List, ast.Tuple)):
+                out[mod].update(ast.literal_eval(stmt.value))
+            elif target == "_HOME":
+                for home, names in ast.literal_eval(stmt.value).items():
+                    out[home].update(names)
+    return out
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    # a definition counts as used when a name or attribute outside its
+    # own statement refers to it anywhere in the package
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("discforge/*.py"))}
+    exported = _exported(trees)
+    refs = {
+        (mod, i): {
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(stmt)
+            if isinstance(sub, (ast.Name, ast.Attribute))
+        }
+        for mod, tree in trees.items()
+        for i, stmt in enumerate(tree.body)
+    }
+    dead = [
+        f"{mod}.{stmt.name}"
+        for mod, tree in trees.items()
+        for i, stmt in enumerate(tree.body)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+        and stmt.name not in exported[mod]
+        and not any(stmt.name in names for key, names in refs.items() if key != (mod, i))
+    ]
+    assert not dead

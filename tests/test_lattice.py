@@ -1,4 +1,3 @@
-import functools
 import random
 from fractions import Fraction
 from math import gcd
@@ -28,7 +27,6 @@ from discforge.lattice import (
     row_hermite,
     row_hermite_transform,
     smallest_multiplier,
-    span_key,
 )
 
 
@@ -112,26 +110,11 @@ def test_echelon_extend_tracks_rank(rows):
         after = rank(IntMatrix(rows[: j + 1]))
         assert len(grown) == after
         assert (grown is basis) == (after == before)
+        # every row primitive, zero before its pivot and positive there
+        for p, r in grown:
+            assert gcd(*r) == 1
+            assert not any(r[:p]) and r[p] > 0
         basis = grown
-
-
-def _key(rows):
-    return span_key(functools.reduce(echelon_extend, rows, ()))
-
-
-@given(st.data())
-def test_span_key_names_the_span(data):
-    width = data.draw(st.integers(1, 5))
-    rows = data.draw(row_sequences(width))
-    # the same generators in any order and at any nonzero scaling
-    order = data.draw(st.permutations(rows))
-    scales = data.draw(
-        st.lists(st.integers(-4, 4).filter(bool), min_size=len(rows), max_size=len(rows))
-    )
-    assert _key([tuple(c * x for x in r) for c, r in zip(scales, order)]) == _key(rows)
-    # two spans share a key exactly when their Fraction RREFs agree
-    other = data.draw(row_sequences(width))
-    assert (_key(other) == _key(rows)) == (oracle_rref(other)[0] == oracle_rref(rows)[0])
 
 
 def test_row_hermite_transform_reconstructs():

@@ -16,7 +16,6 @@ from discforge.matroid import (
     Flat,
     closure,
     collinear_classes,
-    covering_flats,
     decompose,
     find_nonsplitting_flag,
     flats_by_rank,
@@ -24,6 +23,7 @@ from discforge.matroid import (
     is_nonsplitting_flag,
     reduce,
     restrict_to_span,
+    walk_covers,
 )
 
 
@@ -116,16 +116,16 @@ def test_flats_of_rank(seven_point_b):
 
 def test_covering_flats(seven_point_b):
     bottom = closure(seven_point_b, ())
-    assert covering_flats(seven_point_b, bottom) == flats_of_rank(seven_point_b, 1)
+    assert walk_covers(seven_point_b, {}, bottom) == flats_of_rank(seven_point_b, 1)
     line = closure(seven_point_b, [4])
     top = closure(seven_point_b, [0, 4])
-    assert covering_flats(seven_point_b, line) == [top]
-    assert covering_flats(seven_point_b, top) == []
+    assert walk_covers(seven_point_b, {}, line) == [top]
+    assert walk_covers(seven_point_b, {}, top) == []
 
 
 def test_covering_flats_carry_zero_rows():
     b = GaleConfiguration([[1, 0], [0, 0], [-1, 0], [0, 1], [2, 1]])
-    covers = covering_flats(b, closure(b, ()))
+    covers = walk_covers(b, {}, closure(b, ()))
     assert [fl.indices for fl in covers] == [(0, 1, 2), (1, 3), (1, 4)]
     assert all(fl.rank == 1 for fl in covers)
 

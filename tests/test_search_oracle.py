@@ -2,6 +2,8 @@
 flat covers and their level walk, and the flat-based plane split against
 the plain exhaustive searches in ``oracles``."""
 
+from math import gcd
+
 import pytest
 from conftest import SEVEN_ROWS
 from hypothesis import assume, example, given, settings
@@ -13,6 +15,7 @@ from oracles import (
     oracle_dual_variety_dim,
     oracle_flag_search,
     oracle_flats_of_rank,
+    oracle_rref,
     oracle_support_lattice,
     unreduced_dual_dim,
 )
@@ -36,9 +39,9 @@ from discforge.defect import (
 from discforge.errors import DuplicatePoint
 from discforge.lattice import IntMatrix, echelon_extend, rank
 from discforge.matroid import (
-    _residual,
-    covering_flats,
+    closure,
     find_nonsplitting_flag,
+    flag_walk,
     flats_by_rank,
     flats_of_rank,
     reduce,
@@ -69,7 +72,7 @@ def _agree_flats(b: GaleConfiguration) -> None:
             distinct = {c.indices: c for c in closures}
             covers = [distinct[key] for key in sorted(distinct)]
             assert walk_covers(b, memo, fl) == covers
-            assert covering_flats(b, fl) == covers
+            assert walk_covers(b, {}, fl) == covers
 
 
 def _agree_jacobian(a: PointConfiguration) -> None:
@@ -242,11 +245,11 @@ def test_a_cover_expansion_keeps_some_residuals_and_moves_others():
     # there and are kept, that of row 2 moves to pivot 1 with its sign
     # flipped, and that of row 4, (1, 1, 2), moves to pivot 2
     rows = [(1, 1, 0), (0, 1, 2), (1, 0, 1), (0, 0, 1), (-1, -1, -2), (2, 2, 0)]
-    root = [_residual((), row) for row in rows]
+    root = [echelon_extend((), row)[-1] for row in rows]
     new = root[0]
     assert new == (0, (1, 1, 0))
     assert [res[1][0] for res in root[1:5]] == [0, 1, 0, 1]
-    assert echelon_extend((new,), root[2][1])[-1] == (1, (0, -1, 1))
+    assert echelon_extend((new,), root[2][1])[-1] == (1, (0, 1, -1))
     assert echelon_extend((new,), root[4][1])[-1] == (2, (0, 0, 1))
     _agree_flats(GaleConfiguration(rows))
 
@@ -295,6 +298,34 @@ def test_reduced_dimension_walk_matches_unreduced_walk_and_jacobian(rows):
 
 def _cayley_rows(*parts):
     return gale_dual(cayley([segment(p) for p in parts])).matrix.to_lists()
+
+
+@settings(max_examples=100, deadline=None)
+@given(dual_rows())
+# defect duals, whose walks meet many partial spans
+@example(_cayley_rows(1, 2, 2, 2))
+@example(_cayley_rows(1, 3, 3))
+def test_partial_span_keys_are_reduced_echelon_forms(rows):
+    # a state whose sigmas span less than its flat is keyed by the basis
+    # itself, so that basis must name its span: sorted by pivot, each
+    # row primitive, positive at its pivot and zero at the other pivots
+    b = GaleConfiguration(rows)
+    assume(b.rank == b.m)
+    seen: set = set()
+    flag_walk(b, b.m - 1, {}, seen, closure(b, ()), (), (-1, ()))
+    spans: dict = {}
+    for state in seen:
+        if not isinstance(state[0], tuple):
+            continue
+        indices, ext = state
+        pivots = [p for p, _ in ext]
+        assert pivots == sorted(set(pivots))
+        for p, row in ext:
+            assert gcd(*row) == 1 and not any(row[:p]) and row[p] > 0
+            assert all(row[q] == 0 for q in pivots if q != p)
+        rref = oracle_rref([row for _, row in ext])[0]
+        assert rref not in spans.setdefault(indices, [])
+        spans[indices].append(rref)
 
 
 @settings(max_examples=150, deadline=None)
