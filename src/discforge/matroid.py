@@ -129,24 +129,30 @@ def walk_covers(cfg: GaleConfiguration, memo: dict, flat: Flat) -> list[Flat]:
     lie in one cover.  One ``memo`` serves a whole walk of the lattice
     of flats, and ``{}`` a single call.
 
-    ``memo`` maps the indices of each flat met so far to [flat, (rows,
-    new), covers].  ``rows`` pairs each row index with its residual
-    (pivot, primitive row positive at the pivot) against the basis of
-    the flat that first reached this one, and ``new`` is the residual of
-    this flat's new members, which extends that basis to this flat's, or
-    None when ``rows`` are already reduced against this flat's whole
-    basis, as for a flat new to ``memo``.  When the flat is expanded,
-    the rows whose residual is ``new`` are dropped and every other row
-    is reduced in place against ``new`` alone (a*v - f*r, then gcd and
-    sign); a residual that is zero at the new pivot keeps its residual
-    and class key.  A cover's sigma is its parent's plus its new members.
+    ``memo`` maps the key of each flat met so far, the int with bit i
+    set for each member row i, to [flat, (rows, new), covers].  ``rows``
+    pairs each row index with its residual (pivot, primitive row
+    positive at the pivot) against the basis of the flat that first
+    reached this one, and ``new`` is the residual of this flat's new
+    members, which extends that basis to this flat's, or None when
+    ``rows`` are already reduced against this flat's whole basis, as for
+    a flat new to ``memo``.  When the flat is expanded, the rows whose
+    residual is ``new`` are dropped and every other row is reduced in
+    place against ``new`` alone (a*v - f*r, then gcd and sign); a
+    residual that is zero at the new pivot keeps its residual and class
+    key.  A cover's key and sigma are its parent's plus its new members.
+    Rows stay in index order, so the classes, and with them the covers
+    (whose new members are disjoint), come in order of smallest member.
     """
     data = cfg.matrix.data
-    node = memo.get(flat.indices)
+    key = 0
+    for j in flat.indices:
+        key |= 1 << j
+    node = memo.get(key)
     if node is None:
-        base, inside = _basis(cfg, flat.indices), set(flat.indices)
-        rows = [(j, echelon_extend(base, data[j])[-1]) for j in range(cfg.n) if j not in inside]
-        node = memo[flat.indices] = [flat, (rows, None), None]
+        base = _basis(cfg, flat.indices)
+        rows = [(j, echelon_extend(base, data[j])[-1]) for j in range(cfg.n) if not key >> j & 1]
+        node = memo[key] = [flat, (rows, None), None]
     if node[2] is None:
         rows, new = node[1]
         if new is not None:
@@ -170,15 +176,19 @@ def walk_covers(cfg: GaleConfiguration, memo: dict, flat: Flat) -> list[Flat]:
             classes.setdefault(res, []).append(j)
         covers = []
         for res, members in classes.items():
-            indices = tuple(sorted(flat.indices + tuple(members)))
-            if indices not in memo:
+            up = key
+            for j in members:
+                up |= 1 << j
+            child = memo.get(up)
+            if child is None:
                 sigma = flat.sigma
                 for j in members:
                     sigma = tuple(map(add, sigma, data[j]))
+                indices = tuple(sorted(flat.indices + tuple(members)))
                 cover = Flat(indices=indices, rank=flat.rank + 1, sigma=sigma)
-                memo[indices] = [cover, (rows, res), None]
-            covers.append(memo[indices][0])
-        node[1:] = [None, sorted(covers, key=lambda fl: fl.indices)]
+                child = memo[up] = [cover, (rows, res), None]
+            covers.append(child[0])
+        node[1:] = [None, covers]
     return node[2]
 
 
@@ -213,10 +223,12 @@ def is_nonsplitting_flag(cfg: GaleConfiguration, flats) -> bool:
     ranks 1, 2, ..., with their member sums, each sigma outside the
     previous flat's span.
 
-    One echelon basis is carried up the flag: each flat extends the
-    previous flat's basis by its new members, and it is closed when no
-    row outside it lies in the extended span."""
+    One echelon basis is carried up the flag, and so is each outside
+    row's residual against it: a new member's nonzero residual is the
+    next basis row, and one row step against it reduces every other
+    residual.  A flat is closed when no outside residual is zero."""
     basis: tuple = ()
+    outside = dict(enumerate(cfg.matrix.data))
     prev: set[int] = set()
     for j, fl in enumerate(flats):
         inside = set(fl.indices)
@@ -228,14 +240,17 @@ def is_nonsplitting_flag(cfg: GaleConfiguration, flats) -> bool:
             return False
         if echelon_extend(basis, fl.sigma) is basis:
             return False
-        for i in fl.indices:
-            if i not in prev:
-                basis = echelon_extend(basis, cfg.row(i))
-        if len(basis) != fl.rank:
+        for r in filter(any, map(outside.pop, sorted(inside - prev))):
+            p = next(q for q, x in enumerate(r) if x)
+            basis += ((p, r),)
+            for t, v in outside.items():
+                f = v[p]
+                if f:
+                    w = [r[p] * x - f * y for x, y in zip(v, r)]
+                    g = gcd(*w)
+                    outside[t] = [x // g for x in w] if g > 1 else w
+        if len(basis) != fl.rank or not all(map(any, outside.values())):
             return False
-        for i in range(cfg.n):
-            if i not in inside and echelon_extend(basis, cfg.row(i)) is basis:
-                return False
         prev = inside
     return True
 
@@ -270,17 +285,19 @@ def flag_walk(cfg, k, memo, seen, flat, basis, best):
     cover's state (F, V) enters ``seen`` and is expanded once.  A cover
     whose rank plus the steps left cannot beat the best rank is skipped,
     so ``flat`` itself is taken to beat ``best``, and one of rank k beats
-    it outright.  When dim V = rank F, V = span(F) and the state is keyed
-    by F alone; such a state dominates every other state on F, so a
-    cover whose flat is in ``seen`` is skipped before its sigma is
-    reduced.  Otherwise V is keyed by its basis.
+    it outright.  A state is keyed by the id of F, which ``memo`` builds
+    once and keeps for the whole walk.  When dim V = rank F, V = span(F)
+    and the key is F's id alone; such a state dominates every other
+    state on F, so a cover whose id is in ``seen`` is skipped before its
+    sigma is reduced.  Otherwise the key is (F's id, basis).
     """
     if flat.rank == k:
         return len(basis), ()
     for cover in walk_covers(cfg, memo, flat):
         if best[0] == k:
             break
-        if cover.indices in seen:
+        key = id(cover)
+        if key in seen:
             continue
         v = cover.sigma
         for p, row in basis:
@@ -309,7 +326,7 @@ def flag_walk(cfg, k, memo, seen, flat, basis, best):
                     row = tuple(x // g for x in w)
                 ext.append((p, row))
             ext = tuple(sorted(ext))
-        state = cover.indices if len(ext) == cover.rank else (cover.indices, ext)
+        state = key if len(ext) == cover.rank else (key, ext)
         if state in seen:
             continue
         seen.add(state)

@@ -33,6 +33,10 @@ non-defect configuration, whichever route computed it.  The Jacobian of
 that parametrization gives the dual dimension with no flat or flag at
 all.  ``unreduced_dual_dim`` is the one exception: it is the library's
 own walk on the unreduced Gale dual, kept to check the reduction step.
+``oracle_is_nonsplitting_flag`` checks a witness flag against one
+echelon basis grown up the flag, with every outside row reduced against
+the whole basis at every flat, so that the library's check, which
+carries residuals, has a plain reference.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from discforge.config import (
     standard_form,
 )
 from discforge.errors import NotHomogeneous, OnExceptionalLocus
-from discforge.lattice import IntMatrix, bareiss, rank
+from discforge.lattice import IntMatrix, bareiss, echelon_extend, rank
 from discforge.matroid import Flat, closure, flag_walk
 from discforge.poly import SparsePolynomial
 
@@ -351,6 +355,35 @@ def oracle_flag_search(cfg: GaleConfiguration, k: int):
         return None
 
     return dfs([])
+
+
+def oracle_is_nonsplitting_flag(cfg: GaleConfiguration, flats) -> bool:
+    """The witness check of ``matroid.is_nonsplitting_flag`` with no
+    carried residuals: one echelon basis (``lattice.echelon_extend``) is
+    grown up the flag, and each flat is closed when no row outside it
+    lies in the span of that whole basis."""
+    basis: tuple = ()
+    prev: set[int] = set()
+    for j, fl in enumerate(flats):
+        inside = set(fl.indices)
+        if fl.rank != j + 1 or not prev <= inside:
+            return False
+        if fl.indices != tuple(i for i in range(cfg.n) if i in inside):
+            return False
+        if fl.sigma != cfg.sigma(fl.indices):
+            return False
+        if echelon_extend(basis, fl.sigma) is basis:
+            return False
+        for i in fl.indices:
+            if i not in prev:
+                basis = echelon_extend(basis, cfg.row(i))
+        if len(basis) != fl.rank:
+            return False
+        for i in range(cfg.n):
+            if i not in inside and echelon_extend(basis, cfg.row(i)) is basis:
+                return False
+        prev = inside
+    return True
 
 
 def oracle_flats_of_rank(cfg: GaleConfiguration, k: int) -> list[Flat]:

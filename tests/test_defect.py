@@ -169,6 +169,19 @@ def test_a_reducible_non_defect_witness_is_a_flag_of_b(monkeypatch):
     assert searched == [4, 7]
 
 
+def test_a_reducible_witness_comes_from_the_search_of_b():
+    # rows 1 and 4 are a splitting class; the reduction's first flag,
+    # mapped back by closure in B, would be [[0], [0, 2]]
+    b = GaleConfiguration(
+        [[1, 0, 1], [0, -2, -2], [-1, 0, -2], [-1, -1, -1], [0, 2, 2], [1, 1, 2]]
+    )
+    assert reduce(b).removed_splitting == ((1, 4),)
+    rep = is_dual_defect(b)
+    assert not rep.defect
+    assert rep.method == "codim-3"
+    assert rep.witness == {"kind": "flag", "flats": [[0], [0, 1, 4, 5]]}
+
+
 def test_validation_errors():
     with pytest.raises(NotHomogeneous):
         is_dual_defect(GaleConfiguration([[1, 0], [0, 1]]))

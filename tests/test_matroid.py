@@ -3,6 +3,7 @@
 from collections import Counter
 
 import pytest
+from oracles import oracle_is_nonsplitting_flag
 
 import discforge.matroid
 from discforge.config import GaleConfiguration, cayley, gale_dual, segment
@@ -211,6 +212,7 @@ def test_tampered_flags_are_rejected():
     witness = find_nonsplitting_flag(b, 2)
     assert witness == (line, plane)
     assert is_nonsplitting_flag(b, witness)
+    assert oracle_is_nonsplitting_flag(b, witness)
     tampered = [
         (flat(0, 1, rank=1),),  # splitting at the first step: sigma 0
         (line, flat(0, 1, 2, rank=2)),  # splitting: sigma in span(e2)
@@ -223,6 +225,7 @@ def test_tampered_flags_are_rejected():
     ]
     for flag in tampered:
         assert not is_nonsplitting_flag(b, flag), flag
+        assert not oracle_is_nonsplitting_flag(b, flag), flag
 
 
 def test_find_nonsplitting_flag(seven_point_b):

@@ -15,6 +15,7 @@ from oracles import (
     oracle_dual_variety_dim,
     oracle_flag_search,
     oracle_flats_of_rank,
+    oracle_is_nonsplitting_flag,
     oracle_rref,
     oracle_support_lattice,
     unreduced_dual_dim,
@@ -39,11 +40,13 @@ from discforge.defect import (
 from discforge.errors import DuplicatePoint
 from discforge.lattice import IntMatrix, echelon_extend, rank
 from discforge.matroid import (
+    Flat,
     closure,
     find_nonsplitting_flag,
     flag_walk,
     flats_by_rank,
     flats_of_rank,
+    is_nonsplitting_flag,
     reduce,
     walk_covers,
 )
@@ -306,26 +309,84 @@ def _cayley_rows(*parts):
 @example(_cayley_rows(1, 2, 2, 2))
 @example(_cayley_rows(1, 3, 3))
 def test_partial_span_keys_are_reduced_echelon_forms(rows):
-    # a state whose sigmas span less than its flat is keyed by the basis
-    # itself, so that basis must name its span: sorted by pivot, each
-    # row primitive, positive at its pivot and zero at the other pivots
+    # a state is keyed by the id of its flat, which the walk's memo
+    # builds once and keeps; a state whose sigmas span less than its
+    # flat is keyed by (that id, the basis itself), so that basis must
+    # name its span: sorted by pivot, each row primitive, positive at its
+    # pivot and zero at the other pivots
     b = GaleConfiguration(rows)
     assume(b.rank == b.m)
+    memo: dict = {}
     seen: set = set()
-    flag_walk(b, b.m - 1, {}, seen, closure(b, ()), (), (-1, ()))
+    flag_walk(b, b.m - 1, memo, seen, closure(b, ()), (), (-1, ()))
+    flats = {id(node[0]): node[0] for node in memo.values()}
     spans: dict = {}
     for state in seen:
-        if not isinstance(state[0], tuple):
+        key, ext = state if isinstance(state, tuple) else (state, None)
+        assert closure(b, flats[key].indices) == flats[key]
+        if ext is None:
             continue
-        indices, ext = state
         pivots = [p for p, _ in ext]
         assert pivots == sorted(set(pivots))
         for p, row in ext:
             assert gcd(*row) == 1 and not any(row[:p]) and row[p] > 0
             assert all(row[q] == 0 for q in pivots if q != p)
         rref = oracle_rref([row for _, row in ext])[0]
-        assert rref not in spans.setdefault(indices, [])
-        spans[indices].append(rref)
+        assert rref not in spans.setdefault(key, [])
+        spans[key].append(rref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dual_rows())
+def test_covers_come_out_in_index_order(rows):
+    # walk_covers does not sort: each class enters at its smallest row,
+    # and covers of one flat have disjoint new rows
+    b = GaleConfiguration(rows)
+    assume(b.rank == b.m)
+    memo: dict = {}
+    for level in flats_by_rank(b, b.m - 1):
+        for fl in level:
+            covers = walk_covers(b, memo, fl)
+            assert covers == sorted(covers, key=lambda cover: cover.indices)
+
+
+def _tamperings(b: GaleConfiguration, flag):
+    """Flags one step away from ``flag``: one flat loses a member, gains
+    an outside row, takes another sigma or claims another rank."""
+    def at(j, fl):
+        return flag[:j] + (fl,) + flag[j + 1:]
+
+    for j, fl in enumerate(flag):
+        for i in range(b.n):
+            if i in fl.indices:
+                indices = tuple(t for t in fl.indices if t != i)
+            else:
+                indices = tuple(sorted(fl.indices + (i,)))
+            yield at(j, Flat(indices, fl.rank, b.sigma(indices)))
+        for other in flag + (Flat((), 0, (0,) * b.m),):
+            if other.sigma != fl.sigma:
+                yield at(j, fl._replace(sigma=other.sigma))
+        for rank in (fl.rank - 1, fl.rank + 1):
+            yield at(j, fl._replace(rank=rank))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dual_rows())
+# reducible and not defect: rows 1 and 4 are a splitting class
+@example([[1, 0, 1], [0, -2, -2], [-1, 0, -2], [-1, -1, -1], [0, 2, 2], [1, 1, 2]])
+def test_witness_check_matches_the_whole_basis_oracle(rows):
+    # the check carries residuals up the flag; the oracle reduces every
+    # outside row against the whole basis at every flat
+    b = GaleConfiguration(rows)
+    for k in range(1, b.m):
+        flag = find_nonsplitting_flag(b, k)
+        if flag is None:
+            continue
+        assert is_nonsplitting_flag(b, flag)
+        assert oracle_is_nonsplitting_flag(b, flag)
+        for tampered in _tamperings(b, flag):
+            expected = oracle_is_nonsplitting_flag(b, tampered)
+            assert is_nonsplitting_flag(b, tampered) == expected, tampered
 
 
 @settings(max_examples=150, deadline=None)
