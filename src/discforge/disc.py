@@ -36,12 +36,13 @@ from .errors import (
 from .lattice import (
     IntMatrix,
     integer_solve,
+    primitive,
     rank,
     rational_nullspace,
     row_hermite_transform,
     smallest_multiplier,
 )
-from .matroid import _primitive_direction, collinear_classes
+from .matroid import collinear_classes
 from .matroid import reduce as matroid_reduce
 from .poly import (
     SparsePolynomial,
@@ -304,7 +305,7 @@ def glue_resultant(
     m1 = IntMatrix(rows1)
     if rank(m1) != cfg.m:
         raise InconsistentSplit("first part must span the full codimension")
-    dirs = {_primitive_direction(r) for r in rows2}
+    dirs = {primitive(r) for r in rows2}
     if len(dirs) != 1:
         raise InconsistentSplit("second part must be collinear")
     if any(cfg.sigma(idx1)) or any(cfg.sigma(idx2)):
@@ -425,7 +426,7 @@ def _disc_b(b: GaleConfiguration) -> DiscriminantResult:
     if inner.poly.is_one():
         raise DiscforgeError("inner factor of a non-defect configuration is trivial")
     rows2 = [glue_cfg.row(i) for i in idx2]
-    w = _primitive_direction(rows2[0])
+    w = primitive(rows2[0])
     pivot = next(k for k, x in enumerate(w) if x)
     betas = [r[pivot] // w[pivot] for r in rows2]
     d2 = _codim1_raw(betas)
@@ -482,7 +483,7 @@ def check_restriction_grouping(cfg, k: int, ell: int) -> bool:
         rk, rl = b.row(k), b.row(ell)
         if not any(rk) or not any(rl):
             raise NotPositiveMultiple("zero dual vectors carry no line")
-        if _primitive_direction(rk) != _primitive_direction(rl):
+        if primitive(rk) != primitive(rl):
             raise NotPositiveMultiple("dual vectors span different lines")
         piv = next(i for i, x in enumerate(rk) if x)
         if (rk[piv] > 0) != (rl[piv] > 0):

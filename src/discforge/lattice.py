@@ -2,10 +2,10 @@
 
 Everything here runs over Python ints and ``fractions.Fraction``; no floats
 anywhere.  Determinants, ranks and rational nullspaces use one
-fraction-free Bareiss elimination, span-membership tests grow a
-fraction-free echelon basis row by row, lattice computations use
-row-style Hermite normal form with unimodular transforms, and canonical
-bases make equal lattices compare equal.
+fraction-free Bareiss elimination, every other elimination is one row
+step (``eliminate``) into one normal form (``primitive``), lattice
+computations use row-style Hermite normal form with unimodular
+transforms, and canonical bases make equal lattices compare equal.
 """
 
 from __future__ import annotations
@@ -117,26 +117,39 @@ def rank(m: IntMatrix) -> int:
     return bareiss(m.data)[0]
 
 
+def primitive(v) -> tuple[int, ...]:
+    """v divided by its content, positive at its first nonzero entry, the
+    one normal form of an echelon row; a zero vector stays zero."""
+    g = gcd(*v) or 1
+    if next(filter(None, v), 0) < 0:
+        g = -g
+    return tuple(v) if g == 1 else tuple([x // g for x in v])
+
+
+def eliminate(v, p, row) -> tuple[int, ...]:
+    """The one row step: the ``primitive`` of row[p]*v - v[p]*row, zero at
+    p.  Every caller's pivot p is the first nonzero entry of row, so the
+    result is also zero wherever v is zero before p."""
+    a, f = row[p], v[p]
+    return primitive([a * x - f * y for x, y in zip(v, row)])
+
+
 def echelon_extend(basis: tuple, vec) -> tuple:
     """Grow a fraction-free echelon basis of a rational span by one vector.
 
     ``basis`` is a tuple of (pivot, row) pairs, each row zero at the
-    pivots of the rows before it.  ``vec`` is reduced against the rows;
-    if it lies in their span the same basis object is returned, else a
-    new basis with the residual appended, primitive and positive at its
-    pivot (its first nonzero entry), so ``len`` is the rank of the span.
+    pivots of the rows before it.  ``vec`` is reduced against the rows
+    (``eliminate``); if it lies in their span the same basis object is
+    returned, else a new basis with the ``primitive`` residual appended,
+    pivoted at its first nonzero entry, so ``len`` is the rank of the span.
     """
-    v = list(vec)
     for p, row in basis:
-        f = v[p]
-        if f:
-            a = row[p]
-            v = [a * x - f * y for x, y in zip(v, row)]
-    piv = next((j for j, x in enumerate(v) if x), None)
+        if vec[p]:
+            vec = eliminate(vec, p, row)
+    piv = next((j for j, x in enumerate(vec) if x), None)
     if piv is None:
         return basis
-    g = gcd(*v) if v[piv] > 0 else -gcd(*v)
-    return basis + ((piv, tuple(x // g for x in v)),)
+    return basis + ((piv, primitive(vec)),)
 
 
 def row_hermite_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

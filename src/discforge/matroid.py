@@ -9,7 +9,6 @@ span of the previous flat.
 from __future__ import annotations
 
 import functools
-from math import gcd
 from operator import add
 from typing import NamedTuple
 
@@ -20,7 +19,8 @@ from .errors import (
     NotIrreducible,
     PyramidInput,
 )
-from .lattice import IntMatrix, echelon_extend, integer_solve, row_hermite
+from .lattice import IntMatrix, echelon_extend, eliminate, integer_solve
+from .lattice import primitive, row_hermite
 
 
 class Flat(NamedTuple):
@@ -53,29 +53,18 @@ class Decomposition(NamedTuple):
         return sum(self.ranks) - self.s
 
 
-def _primitive_direction(v) -> tuple[int, ...]:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    w = [x // g for x in v]
-    lead = next(x for x in w if x)
-    if lead < 0:
-        w = [-x for x in w]
-    return tuple(w)
-
-
 def collinear_classes(cfg: GaleConfiguration) -> list[tuple[int, ...]]:
     """Partition of the nonzero rows by line through the origin.
 
-    Classes are ordered by smallest member; zero rows are not classified
-    and are available through cfg.zero_rows().
+    Classes are ordered by smallest member, the row each one enters at;
+    zero rows are not classified and are available through cfg.zero_rows().
     """
     buckets: dict[tuple[int, ...], list[int]] = {}
     for i in range(cfg.n):
         row = cfg.row(i)
         if any(row):
-            buckets.setdefault(_primitive_direction(row), []).append(i)
-    return sorted((tuple(v) for v in buckets.values()), key=lambda t: t[0])
+            buckets.setdefault(primitive(row), []).append(i)
+    return [tuple(v) for v in buckets.values()]
 
 
 def reduce(cfg: GaleConfiguration) -> ReduceResult:
@@ -131,16 +120,16 @@ def walk_covers(cfg: GaleConfiguration, memo: dict, flat: Flat) -> list[Flat]:
 
     ``memo`` maps the key of each flat met so far, the int with bit i
     set for each member row i, to [flat, (rows, new), covers].  ``rows``
-    pairs each row index with its residual (pivot, primitive row
-    positive at the pivot) against the basis of the flat that first
-    reached this one, and ``new`` is the residual of this flat's new
-    members, which extends that basis to this flat's, or None when
-    ``rows`` are already reduced against this flat's whole basis, as for
-    a flat new to ``memo``.  When the flat is expanded, the rows whose
-    residual is ``new`` are dropped and every other row is reduced in
-    place against ``new`` alone (a*v - f*r, then gcd and sign); a
-    residual that is zero at the new pivot keeps its residual and class
-    key.  A cover's key and sigma are its parent's plus its new members.
+    pairs each row index with its residual row, in ``lattice.primitive``
+    form, against the basis of the flat that first reached this one, and
+    ``new`` is the residual of this flat's new members, which extends
+    that basis to this flat's, or None when ``rows`` are already reduced
+    against this flat's whole basis, as for a flat new to ``memo``.
+    When the flat is expanded, the rows whose residual is ``new`` are
+    dropped and every other row is reduced in place against ``new``
+    alone, by ``lattice.eliminate`` at its first nonzero entry; a
+    residual that is zero there keeps its residual and class key.  A
+    cover's key and sigma are its parent's plus its new members.
     Rows stay in index order, so the classes, and with them the covers
     (whose new members are disjoint), come in order of smallest member.
     """
@@ -151,25 +140,18 @@ def walk_covers(cfg: GaleConfiguration, memo: dict, flat: Flat) -> list[Flat]:
     node = memo.get(key)
     if node is None:
         base = _basis(cfg, flat.indices)
-        rows = [(j, echelon_extend(base, data[j])[-1]) for j in range(cfg.n) if not key >> j & 1]
+        rows = [(j, echelon_extend(base, data[j])[-1][1]) for j in range(cfg.n) if not key >> j & 1]
         node = memo[key] = [flat, (rows, None), None]
     if node[2] is None:
         rows, new = node[1]
         if new is not None:
-            parent, rows, (p, r) = rows, [], new
-            a = r[p]
+            parent, rows = rows, []
+            p = next(i for i, x in enumerate(new) if x)
             for j, res in parent:
-                q, v = res
-                f = v[p]
-                if f:
+                if res[p]:
                     if res == new:
                         continue
-                    # a residual pivoted before p keeps its pivot and sign
-                    w = [a * x - f * y for x, y in zip(v, r)]
-                    if q == p:
-                        q = next(i for i, x in enumerate(w) if x)
-                    g = gcd(*w) if w[q] > 0 else -gcd(*w)
-                    res = q, tuple(w) if g == 1 else tuple(x // g for x in w)
+                    res = eliminate(res, p, new)
                 rows.append((j, res))
         classes: dict = {}
         for j, res in rows:
@@ -244,11 +226,8 @@ def is_nonsplitting_flag(cfg: GaleConfiguration, flats) -> bool:
             p = next(q for q, x in enumerate(r) if x)
             basis += ((p, r),)
             for t, v in outside.items():
-                f = v[p]
-                if f:
-                    w = [r[p] * x - f * y for x, y in zip(v, r)]
-                    g = gcd(*w)
-                    outside[t] = [x // g for x in w] if g > 1 else w
+                if v[p]:
+                    outside[t] = eliminate(v, p, r)
         if len(basis) != fl.rank or not all(map(any, outside.values())):
             return False
         prev = inside
@@ -301,10 +280,8 @@ def flag_walk(cfg, k, memo, seen, flat, basis, best):
             continue
         v = cover.sigma
         for p, row in basis:
-            f = v[p]
-            if f:
-                a = row[p]
-                v = [a * x - f * y for x, y in zip(v, row)]
+            if v[p]:
+                v = eliminate(v, p, row)
         grow = any(v)
         if len(basis) + grow + k - cover.rank <= best[0]:
             continue
@@ -313,17 +290,13 @@ def flag_walk(cfg, k, memo, seen, flat, basis, best):
             continue
         ext = basis
         if grow:
-            # v is zero at the pivots of basis, whose rows stay positive
+            # v is zero at the pivots of basis, so each row keeps its pivot
             q = next(j for j, x in enumerate(v) if x)
-            g = gcd(*v) if v[q] > 0 else -gcd(*v)
-            v = tuple(x // g for x in v)
+            v = primitive(v)
             ext = [(q, v)]
             for p, row in basis:
-                f = row[q]
-                if f:
-                    w = [v[q] * x - f * y for x, y in zip(row, v)]
-                    g = gcd(*w)
-                    row = tuple(x // g for x in w)
+                if row[q]:
+                    row = eliminate(row, q, v)
                 ext.append((p, row))
             ext = tuple(sorted(ext))
         state = key if len(ext) == cover.rank else (key, ext)

@@ -19,9 +19,11 @@ from discforge.lattice import (
     IntMatrix,
     bareiss,
     echelon_extend,
+    eliminate,
     integer_solve,
     kernel_lattice_basis,
     lattice_index,
+    primitive,
     rank,
     rational_nullspace,
     row_hermite,
@@ -114,7 +116,40 @@ def test_echelon_extend_tracks_rank(rows):
         for p, r in grown:
             assert gcd(*r) == 1
             assert not any(r[:p]) and r[p] > 0
+            assert r == primitive(r)
         basis = grown
+
+
+@st.composite
+def row_steps(draw):
+    """A vector v and a nonzero row with its pivot, the row's first
+    nonzero entry, as every caller of ``eliminate`` passes them."""
+    width = draw(st.integers(1, 5))
+    vec = st.lists(st.integers(-6, 6), min_size=width, max_size=width)
+    row = draw(vec.filter(any))
+    p = next(j for j, x in enumerate(row) if x)
+    return draw(vec), p, row
+
+
+@given(row_steps(), st.integers(-5, 5).filter(bool))
+def test_eliminate_is_the_fraction_row_step_in_normal_form(step, c):
+    v, p, row = step
+    w = eliminate(v, p, row)
+    assert w[p] == 0
+    # inside span{v, row}, and zero exactly when v lies on the line of row
+    span = len(oracle_rref([v, row])[1])
+    assert len(oracle_rref([v, row, w])[1]) == span
+    assert any(w) == (span == 2)
+    # the Fraction residual v - (v[p] / row[p]) * row, in normal form
+    t = Fraction(v[p], row[p])
+    assert w == primitive(clear_denominators([x - t * y for x, y in zip(v, row)]))
+    # content 1 and positive at the first nonzero entry
+    if any(w):
+        assert gcd(*w) == 1 and next(filter(None, w)) > 0
+    # primitive keeps the line of v and forgets its scale
+    assert len(oracle_rref([v, primitive(v)])[1]) == len(oracle_rref([v])[1])
+    assert primitive([c * x for x in v]) == primitive(v)
+    assert primitive([0] * len(v)) == (0,) * len(v)
 
 
 def test_row_hermite_transform_reconstructs():
