@@ -5,11 +5,14 @@ a hypersurface.  After the structural tests (a degenerate reduction, and
 complementary planes in codimension 4) it searches for a non-splitting
 flag of length m - 1, whose existence is equivalent to the dual variety
 having full dimension n - 2.  The dimension itself is maximized over
-complete flags of flats of the Gale dual.
+complete flags of flats of the Gale dual, unless a Jacobian rank below
+and a partition of the dual vectors into zero-sum parts above meet.
 """
 
 from __future__ import annotations
 
+from math import lcm
+from operator import add
 from typing import NamedTuple
 
 from .config import (
@@ -28,7 +31,7 @@ from .errors import (
     PyramidInput,
     SizeBound,
 )
-from .lattice import IntMatrix, rank
+from .lattice import IntMatrix, bareiss, rank, rational_nullspace
 from .matroid import (
     closure,
     decompose,
@@ -122,7 +125,14 @@ def is_dual_defect(cfg) -> DefectReport:
                 },
             )
     # B has a flag of sigma rank m - 1 exactly when its full-rank
-    # reduction has one (``dual_variety_dim``); B gives the witness
+    # reduction R has one; B gives the witness.  A flat holds each line
+    # class whole, so a merged class is one row of R with the same share
+    # of every sigma, and a splitting class adds 0 to every sigma.
+    # F -> F minus C sends a flag of B to a chain of flats of R of rank
+    # below m with the same sigmas, and a complete flag of R through it
+    # has at least their rank; G -> closure_B(G) sends a complete flag
+    # of R to one of B with the same ranks and sigmas.  R has rank m
+    # here: a degenerate reduction returned above.
     walk = red.config if red.config.n < b.n else b
     flag = find_nonsplitting_flag(walk, m - 1)
     if flag is not None and walk is not b:
@@ -211,6 +221,99 @@ def support_lattice(cfg) -> SupportLattice:
     )
 
 
+# Caps of the upper bound in ``dual_variety_dim``: zero-sum parts are
+# searched over 2^d patterns only for d = n - m up to MAX_PART_BITS, and
+# partitions into them, one state per part, only up to MAX_PARTS parts.
+# Past either cap the walk decides.
+MAX_PART_BITS = 12
+MAX_PARTS = 256
+
+
+def _lambda0(m: int) -> list[int]:
+    """The fixed integer point of the lower bound: entries up to 5 * 10^5
+    in size, read off a multiplicative congruential generator, so that
+    they satisfy no small integer relation a structured B is likely to
+    share (a row of B orthogonal to lam0 can lower the rank)."""
+    return [pow(48271, j, 2**31 - 1) % 1_000_001 - 500_000 for j in range(1, m + 1)]
+
+
+def _jacobian_rank(b: GaleConfiguration, kernel) -> int:
+    """rank M(lam0) for M(lam) = [B | diag(B lam) K^T], K the rows of
+    ``kernel``."""
+    lam = _lambda0(b.m)
+    rows = []
+    for i, row in enumerate(b.rows()):
+        s = sum(x * y for x, y in zip(row, lam))
+        rows.append(row + tuple(s * v[i] for v in kernel))
+    return bareiss(rows)[0]
+
+
+def _zero_sum_parts(kernel, n: int):
+    """Each nonempty set P of rows of B that sums to zero, as a bit mask,
+    mapped to rank P - 1; K the rows of ``kernel``; or None past a cap.
+
+    Such a set's indicator is a 0/1 vector in the row space of K, fixed
+    by its values on a column basis.  ``rational_nullspace`` gives each
+    vector k of K a column c_k where it alone is nonzero (its free
+    column is one).  Scaled by top / k[c_k], top the lcm of those
+    entries, the vectors of a subset S of K sum to top times the one
+    vector of the row space that is 1 at c_k for k in S and 0 at the
+    other c_k.  The subsets are walked in Gray-code order, one vector
+    added or subtracted each, and a sum whose entries are all 0 or top
+    is a part P.
+
+    A relation among the rows of P is a vector of ker B^T that vanishes
+    off P.  It vanishes at each c_k off P, so it is a combination of the
+    scaled vectors in S that vanishes at the other columns off P, and
+    rank P = |P| - |S| + the rank of S on those columns.
+    """
+    d = len(kernel)
+    if d > MAX_PART_BITS:
+        return None
+    alone = [j for j, col in enumerate(zip(*kernel)) if sum(map(bool, col)) == 1]
+    ends = [next((j, v[j]) for j in alone if v[j]) for v in kernel]
+    top = lcm(*(e for _, e in ends))
+    steps = [[top // e * x for x in v] for v, (_, e) in zip(kernel, ends)]
+    basis = {c for c, _ in ends}
+    others = [j for j in range(n) if j not in basis]
+    back = [[-x for x in step] for step in steps]
+    u = [0] * n
+    parts = {}
+    for t in range(1, 1 << d):
+        k = (t & -t).bit_length() - 1
+        gray = t ^ t >> 1
+        u = list(map(add, u, steps[k] if gray >> k & 1 else back[k]))
+        if u.count(0) + u.count(top) == n:
+            if len(parts) == MAX_PARTS:
+                return None
+            off = [j for j in others if not u[j]]
+            s = [[steps[i][j] for j in off] for i in range(d) if gray >> i & 1]
+            size = u.count(top)
+            parts[sum(1 << i for i, x in enumerate(u) if x)] = (
+                size - len(s) + bareiss(s)[0] - 1
+            )
+    return parts
+
+
+def _least_rho(parts, n: int) -> int:
+    """The least sum of (rank P - 1) over partitions of the n rows of B
+    into the zero-sum ``parts``, which map each P to rank P - 1.
+
+    What is left of a zero-sum set after a zero-sum part is taken out
+    sums to zero too, and its mask is the smaller number.  So the least
+    sum for each part, as a set to be covered, is found from the parts
+    below it in mask order: the part that holds its lowest row, plus the
+    least sum for the rest.
+    """
+    least = {0: 0}
+    for r in sorted(parts):
+        low = r & -r
+        least[r] = min(
+            cost + least[r ^ p] for p, cost in parts.items() if p & low and p & r == p
+        )
+    return least[(1 << n) - 1]
+
+
 def dual_variety_dim(cfg) -> int:
     """Dimension of the dual variety over flags of flats.
 
@@ -221,24 +324,47 @@ def dual_variety_dim(cfg) -> int:
     the row span of A, which has rank n - m, and sends each indicator
     1_F to sigma_F.
 
-    The walk runs on the reduced configuration R = ``reduce(B)`` when R
-    still has rank m; the size bound reads the n of B.  A flat holds
-    each line class whole, so a merged class is one element of R with
-    the same share of every sigma, and a splitting class C adds 0 to
-    every sigma.  F -> F minus C sends a flag of B to a chain of flats
-    of R of rank below m with the same sigmas, and a complete flag of R
-    through that chain has at least their rank; G -> closure_B(G) sends
-    a complete flag of R to one of B with the same ranks and sigmas.  So
-    the best rank is the same.  When R has rank below m (a degenerate
-    reduction, such as that of cayley(1,1,1,2)) its flats of rank m - 1
-    may be all of R, the first map fails, and the walk stays on B.
+    Two bounds settle most inputs with no walk.  K is a basis of
+    ker B^T, the row span of A, and d = n - m its size.
+
+    Lower bound L = rank M(lam0) - 1, M(lam) = [B | diag(B lam) K^T], at
+    one fixed integer lam0.  The Horn-Kapranov map (lam, t) ->
+    (B lam) * t^A from C^m x (C*)^d has the affine cone over the dual
+    variety as the closure of its image.  Its Jacobian at (lam, t), in
+    lam and log t, is [B | diag(B lam) A^T] with row i scaled by t^a_i,
+    and A^T and K^T have one column span, so its rank is rank M(lam).
+    No point has a higher Jacobian rank than the generic one, and the
+    generic rank is the dimension of the cone, one more than that of
+    the dual variety (Kapranov 1991).
+
+    Upper bound U = n - m - 1 + rho, rho the least sum of (rank P_i - 1)
+    over partitions of the rows of B into parts with sigma(P_i) = 0; the
+    whole set is one, so rho <= m - 1.  For any flag of flats F_j:
+    - F_j meet P_i is a flat of B restricted to P_i;
+    - along the flag these flats rise through ranks 0 ... rank P_i, so
+      they take at most rank P_i + 1 distinct values;
+    - the rank-0 flat is empty (B has no zero row) and P_i itself has
+      sigma = 0, so part i gives at most rank P_i - 1 distinct nonzero
+      sigmas;
+    - sigma_F_j is the sum over i of sigma(F_j meet P_i).
+    So the sigmas of a flag span at most rho dimensions.
+
+    L = n - 2, the largest dimension, or L = U is the dimension.
+    Otherwise, or past a cap of the part search (``MAX_PART_BITS``,
+    ``MAX_PARTS``), the flags of B are walked.
     """
     b = _validate(cfg)
     _check_size(b)
-    red = reduce(b).config
-    walk = red if red.rank == b.m else b
-    best = flag_walk(walk, b.m - 1, {}, set(), closure(walk, ()), (), (-1, ()))
-    return b.n - b.m - 1 + best[0]
+    n, m = b.n, b.m
+    kernel = rational_nullspace(b.matrix.transpose().data)
+    low = _jacobian_rank(b, kernel) - 1
+    if low == n - 2:
+        return low
+    parts = _zero_sum_parts(kernel, n)
+    if parts is not None and low == n - m - 1 + _least_rho(parts, n):
+        return low
+    best = flag_walk(b, m - 1, {}, set(), closure(b, ()), (), (-1, ()))
+    return n - m - 1 + best[0]
 
 
 class RhoReport(NamedTuple):

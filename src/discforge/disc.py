@@ -277,6 +277,14 @@ def contract(f: SparsePolynomial) -> SparsePolynomial:
     return f.specialize(f.n - 1, -1).specialize(f.n - 2, 1).normalize()
 
 
+def _class_multiples(rows) -> tuple[tuple[int, ...], list[int]]:
+    """The primitive direction w of nonzero collinear rows, and the
+    multiple of w that each row is."""
+    w = primitive(rows[0])
+    pivot = next(k for k, x in enumerate(w) if x)
+    return w, [r[pivot] // w[pivot] for r in rows]
+
+
 def glue_resultant(
     d1: SparsePolynomial,
     d2: SparsePolynomial,
@@ -310,9 +318,7 @@ def glue_resultant(
         raise InconsistentSplit("second part must be collinear")
     if any(cfg.sigma(idx1)) or any(cfg.sigma(idx2)):
         raise InconsistentSplit("both parts must be homogeneous")
-    w = next(iter(dirs))
-    pivot = next(k for k, x in enumerate(w) if x)
-    betas = [r[pivot] // w[pivot] for r in rows2]
+    w, betas = _class_multiples(rows2)
     q = smallest_multiplier(m1, w)
     gamma = integer_solve(m1, tuple(q * x for x in w))
     if gamma is None:
@@ -426,9 +432,7 @@ def _disc_b(b: GaleConfiguration) -> DiscriminantResult:
     if inner.poly.is_one():
         raise DiscforgeError("inner factor of a non-defect configuration is trivial")
     rows2 = [glue_cfg.row(i) for i in idx2]
-    w = primitive(rows2[0])
-    pivot = next(k for k, x in enumerate(w) if x)
-    betas = [r[pivot] // w[pivot] for r in rows2]
+    w, betas = _class_multiples(rows2)
     d2 = _codim1_raw(betas)
     glued = glue_resultant(inner.poly, d2, glue_cfg, (idx1, idx2))
     if sharp:

@@ -32,7 +32,8 @@ powers of the linear forms, and Horn-Kapranov points
 non-defect configuration, whichever route computed it.  The Jacobian of
 that parametrization gives the dual dimension with no flat or flag at
 all.  ``unreduced_dual_dim`` is the one exception: it is the library's
-own walk on the unreduced Gale dual, kept to check the reduction step.
+own walk on the Gale dual, with no certificate, kept to check the
+certificate's answers.
 ``oracle_is_nonsplitting_flag`` checks a witness flag against one
 echelon basis grown up the flag, with every outside row reduced against
 the whole basis at every flat, so that the library's check, which
@@ -460,10 +461,10 @@ def oracle_dual_variety_dim(a: PointConfiguration) -> int:
 
 
 def unreduced_dual_dim(b: GaleConfiguration) -> int:
-    """The dimension walk of ``defect.dual_variety_dim`` run on B itself,
-    never on its reduction: n - m - 1 plus the best rank of the sigmas
-    of a complete flag of flats of B.  It shares the walk with the
-    library and checks only the step from B to ``reduce(B)``."""
+    """The dimension walk of ``defect.dual_variety_dim`` run on B with
+    no certificate first: n - m - 1 plus the best rank of the sigmas of
+    a complete flag of flats of B.  It shares the walk with the library
+    and checks only the certificate that settles most inputs before it."""
     best = flag_walk(b, b.m - 1, {}, set(), closure(b, ()), (), (-1, ()))
     return b.n - b.m - 1 + best[0]
 

@@ -33,7 +33,13 @@ from discforge.errors import (
     PyramidInput,
     SizeBound,
 )
-from discforge.matroid import find_nonsplitting_flag, flats_by_rank, reduce
+from discforge.matroid import (
+    closure,
+    find_nonsplitting_flag,
+    flag_walk,
+    flats_by_rank,
+    reduce,
+)
 
 EXPECTED_FIXTURES = {
     "cayley-1-1-1": ("degenerate", 3),
@@ -262,11 +268,16 @@ def test_dual_dim_size_bound_reads_the_unreduced_n(monkeypatch):
 
 def test_walks_leave_no_reference_cycles():
     # a walk's memo and search state are freed when the call returns,
-    # not left for the cyclic collector
+    # not left for the cyclic collector; so are the part search and the
+    # partition table of the certificate that settles dual_variety_dim
+    # on these defect inputs
     a = cayley([segment(2), segment(2), segment(3)])
     b = gale_dual(a)
+    units = cayley([segment(1)] * 5)
     walks = [
         lambda: dual_variety_dim(a),
+        lambda: dual_variety_dim(units),
+        lambda: flag_walk(b, b.m - 1, {}, set(), closure(b, ()), (), (-1, ())),
         lambda: is_dual_defect(a),
         lambda: find_nonsplitting_flag(b, b.m - 1),
         lambda: flats_by_rank(b, b.rank),

@@ -19,6 +19,7 @@ from discforge.matroid import (
     collinear_classes,
     decompose,
     find_nonsplitting_flag,
+    flag_walk,
     flats_by_rank,
     flats_of_rank,
     is_nonsplitting_flag,
@@ -158,7 +159,8 @@ def test_walks_reduce_in_place_past_the_root(monkeypatch):
     # most n calls each; cover expansions and sigma tests reduce in
     # place, so the walk's size shows only in walk_covers: 176 flats
     # expanded by the exhausted flag search, 209 (flat, span) states by
-    # the dimension walk on the 9-row reduction of cayley(1,2,2,2)
+    # the dimension walk on the 9-row reduction of cayley(1,2,2,2), and
+    # none by dual_variety_dim, whose certificate settles that input
     calls = Counter()
 
     def counting(name):
@@ -177,8 +179,13 @@ def test_walks_reduce_in_place_past_the_root(monkeypatch):
     assert calls["echelon_extend"] <= 2 * b.n == 20
     assert calls["walk_covers"] == 176
     calls.clear()
-    assert dual_variety_dim(cayley([segment(1)] + [segment(2)] * 3)) == 7
-    assert calls["echelon_extend"] <= 2 * 9
+    a = cayley([segment(1)] + [segment(2)] * 3)
+    assert dual_variety_dim(a) == 7
+    assert not calls
+    red = reduce(gale_dual(a)).config
+    best = flag_walk(red, red.m - 1, {}, set(), closure(red, ()), (), (-1, ()))
+    assert a.n - red.m - 1 + best[0] == 7
+    assert calls["echelon_extend"] <= 2 * red.n == 18
     assert calls["walk_covers"] == 209
 
 

@@ -1,6 +1,7 @@
-"""The memoized flag search, the dual dimension over flags of flats, the
-flat covers and their level walk, and the flat-based plane split against
-the plain exhaustive searches in ``oracles``."""
+"""The memoized flag search, the dual dimension over flags of flats and
+its two-sided certificate, the flat covers and their level walk, and the
+flat-based plane split against the plain exhaustive searches in
+``oracles``."""
 
 from math import gcd
 
@@ -21,7 +22,9 @@ from oracles import (
     unreduced_dual_dim,
 )
 
+import discforge.defect
 from discforge.config import (
+    SIZE_BOUND_ENV,
     GaleConfiguration,
     PointConfiguration,
     cayley,
@@ -32,13 +35,23 @@ from discforge.config import (
 )
 from discforge.defect import (
     _complementary_planes,
+    _jacobian_rank,
+    _lambda0,
+    _least_rho,
+    _zero_sum_parts,
     dirocco_fixtures,
     dual_variety_dim,
     is_dual_defect,
     support_lattice,
 )
 from discforge.errors import DuplicatePoint
-from discforge.lattice import IntMatrix, echelon_extend, rank
+from discforge.lattice import (
+    IntMatrix,
+    echelon_extend,
+    primitive,
+    rank,
+    rational_nullspace,
+)
 from discforge.matroid import (
     Flat,
     closure,
@@ -90,11 +103,28 @@ def _agree_flags(b: GaleConfiguration) -> None:
         assert find_nonsplitting_flag(b, k) == oracle_flag_search(b, k), k
 
 
+def _bounds(b: GaleConfiguration) -> tuple[int, int]:
+    """The certificate's (L, U) for B: the Jacobian rank at lam0 less
+    one, and n - m - 1 plus the least rho over zero-sum partitions."""
+    kernel = rational_nullspace(b.matrix.transpose().data)
+    parts = _zero_sum_parts(kernel, b.n)
+    assert parts is not None
+    low = _jacobian_rank(b, kernel) - 1
+    return low, b.n - b.m - 1 + _least_rho(parts, b.n)
+
+
+def _check_bounds(b: GaleConfiguration) -> None:
+    # the walk alone, which the certificate may skip, lies between them
+    low, up = _bounds(b)
+    assert low <= unreduced_dual_dim(b) <= up <= b.n - 2
+
+
 def _agree(a: PointConfiguration) -> None:
     b = gale_dual(a)
     _agree_flags(b)
     assert dual_variety_dim(a) == oracle_dual_variety_dim(a)
     _agree_jacobian(a)
+    _check_bounds(b)
     # either side gives the same dimension and the same verdict
     assert dual_variety_dim(b) == dual_variety_dim(a)
     assert is_dual_defect(b) == is_dual_defect(a)
@@ -292,6 +322,7 @@ def test_reduced_dimension_walk_matches_unreduced_walk_and_jacobian(rows):
     assume(b.rank == b.m)
     dim = dual_variety_dim(b)
     assert dim == unreduced_dual_dim(b)
+    _check_bounds(b)
     try:
         a = dual_of(b)
     except DuplicatePoint:
@@ -407,9 +438,48 @@ def test_a_full_rank_reduction_has_a_nonsplitting_flag_exactly_when_b_has(rows):
     "parts, dim, degenerate", [((1, 2, 2, 2), 7, False), ((1, 1, 1, 2), 5, True)]
 )
 def test_reduced_dimension_walk_on_cayley_fixtures(parts, dim, degenerate):
-    # the reduction of cayley(1,1,1,2) loses rank, so its walk stays on B:
-    # the walk on its reduction would give 3
+    # the reduction of cayley(1,1,1,2) loses rank: a walk on it would
+    # give 3
     a = cayley([segment(p) for p in parts])
     b = gale_dual(a)
     assert (reduce(b).config.rank < b.m) is degenerate
     assert dual_variety_dim(a) == unreduced_dual_dim(b) == dim
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [(2, 2, 2), (1, 2, 2, 2), (2, 2, 3), (3, 3, 3), (2, 3, 4, 5), (3, 4, 5, 6), (4, 5, 6, 7)],
+)
+def test_cayley_ladder_dimension_matches_jacobian(parts, monkeypatch):
+    # past n = 12 only with a raised size bound; the certificate settles
+    # each of these with no walk
+    a = cayley([segment(p) for p in parts])
+    monkeypatch.setenv(SIZE_BOUND_ENV, str(a.n))
+    monkeypatch.setattr(discforge.defect, "flag_walk", None)
+    assert dual_variety_dim(a) == jacobian_dual_dim(a) < a.n - 2
+
+
+def test_the_walk_decides_when_the_bounds_differ(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return flag_walk(*args)
+
+    monkeypatch.setattr(discforge.defect, "flag_walk", counted)
+    # three rows on the line orthogonal to lam0 keep only their B part in
+    # M(lam0), whose rank then falls below the generic one
+    lam = _lambda0(2)
+    v = primitive((lam[1], -lam[0]))
+    rows = [v, v, v, (1, 0), (0, 1)]
+    b = GaleConfiguration(rows + [tuple(-x for x in map(sum, zip(*rows)))])
+    low, up = _bounds(b)
+    assert low < up == b.n - 2
+    assert dual_variety_dim(b) == oracle_dual_variety_dim(dual_of(b)) == up
+    assert calls == [1]
+    # past the cap of the part search the upper bound is n - 2, above
+    # the dimension of a defect input
+    monkeypatch.setattr(discforge.defect, "MAX_PART_BITS", 0)
+    a = cayley([segment(1), segment(2), segment(2), segment(2)])
+    assert dual_variety_dim(a) == oracle_dual_variety_dim(a) == 7
+    assert calls == [1, 5]
