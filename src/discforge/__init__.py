@@ -27,7 +27,7 @@ _HOME = {
         "DegenerateDual", "DiscforgeError", "ParseError", "PreconditionError", "Unsupported",
     ),
     "lattice": ("IntMatrix", "lattice_index"),
-    "matroid": ("Decomposition", "ReduceResult", "collinear_classes", "decompose", "reduce"),
+    "matroid": ("ReduceResult", "collinear_classes", "reduce"),
     "poly": (
         "SparsePolynomial", "newton_vertices", "poly_from_json_dict", "poly_to_json_dict",
     ),

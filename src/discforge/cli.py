@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_side_opt(p)
     p.set_defaults(func=cmd_dualdim)
 
-    p = sub.add_parser("decompose", help="greedy homogeneous decomposition and rho")
+    p = sub.add_parser("decompose", help="least zero-sum partition and rho")
     _add_matrix_opts(p)
     _add_side_opt(p)
     p.set_defaults(func=cmd_decompose)

@@ -34,7 +34,6 @@ from .errors import (
 from .lattice import IntMatrix, bareiss, rank, rational_nullspace
 from .matroid import (
     closure,
-    decompose,
     find_nonsplitting_flag,
     flag_walk,
     flats_of_rank,
@@ -221,10 +220,10 @@ def support_lattice(cfg) -> SupportLattice:
     )
 
 
-# Caps of the upper bound in ``dual_variety_dim``: zero-sum parts are
-# searched over 2^d patterns only for d = n - m up to MAX_PART_BITS, and
-# partitions into them, one state per part, only up to MAX_PARTS parts.
-# Past either cap the walk decides.
+# Caps of the zero-sum part search: parts are searched over 2^d patterns
+# only for d = n - m up to MAX_PART_BITS, and partitions into them, one
+# state per part, only up to MAX_PARTS parts.  Past either cap
+# ``dual_variety_dim`` walks and ``rho_bound`` raises ``SizeBound``.
 MAX_PART_BITS = 12
 MAX_PARTS = 256
 
@@ -295,21 +294,25 @@ def _zero_sum_parts(kernel, n: int):
     return parts
 
 
-def _least_rho(parts, n: int) -> int:
+def _least_rho(parts, n: int) -> tuple[int, tuple[int, ...]]:
     """The least sum of (rank P - 1) over partitions of the n rows of B
-    into the zero-sum ``parts``, which map each P to rank P - 1.
+    into the zero-sum ``parts``, which map each P to rank P - 1, and the
+    masks of one such partition, each part listed by its lowest row.
 
     What is left of a zero-sum set after a zero-sum part is taken out
     sums to zero too, and its mask is the smaller number.  So the least
     sum for each part, as a set to be covered, is found from the parts
     below it in mask order: the part that holds its lowest row, plus the
-    least sum for the rest.
+    least sum for the rest.  The least (sum, masks) pair is kept, so the
+    partition is fixed too.
     """
-    least = {0: 0}
+    least = {0: (0, ())}
     for r in sorted(parts):
         low = r & -r
         least[r] = min(
-            cost + least[r ^ p] for p, cost in parts.items() if p & low and p & r == p
+            (cost + least[r ^ p][0], (p,) + least[r ^ p][1])
+            for p, cost in parts.items()
+            if p & low and p & r == p
         )
     return least[(1 << n) - 1]
 
@@ -361,7 +364,7 @@ def dual_variety_dim(cfg) -> int:
     if low == n - 2:
         return low
     parts = _zero_sum_parts(kernel, n)
-    if parts is not None and low == n - m - 1 + _least_rho(parts, n):
+    if parts is not None and low == n - m - 1 + _least_rho(parts, n)[0]:
         return low
     best = flag_walk(b, m - 1, {}, set(), closure(b, ()), (), (-1, ()))
     return n - m - 1 + best[0]
@@ -376,25 +379,31 @@ class RhoReport(NamedTuple):
 
 
 def rho_bound(cfg) -> RhoReport:
-    """Greedy decomposition bound: rho <= m - 2 certifies defectness.
+    """The paper's rho statistic: the least sum of (rank P_i - 1) over
+    partitions of the rows of B into parts P_i with sigma(P_i) = 0, and
+    one partition that attains it.
 
-    The Gale side is reduced first; parts refer to rows of the reduced
-    configuration mapped back to original class index sets.
+    ``parts`` covers every row, so a splitting pair is a rank-1 part of
+    cost 0.  rho <= m - 2 certifies dual defect: the dual variety has
+    dimension at most n - m - 1 + rho (proof in ``dual_variety_dim``).
+    Past a cap of the part search (``MAX_PART_BITS``, ``MAX_PARTS``) it
+    raises ``SizeBound``.
     """
     b = _validate(cfg)
-    red = reduce(b)
-    dec = decompose(red.config, lambda sub: is_dual_defect(sub).defect)
-    parts = tuple(
-        tuple(sorted(i for t in part for i in red.merged[t]))
-        for part in dec.parts
-    )
-    m = b.m
+    kernel = rational_nullspace(b.matrix.transpose().data)
+    parts = _zero_sum_parts(kernel, b.n)
+    if parts is None:
+        raise SizeBound(
+            f"zero-sum part search limited to n - m <= {MAX_PART_BITS} "
+            f"and at most {MAX_PARTS} parts"
+        )
+    rho, masks = _least_rho(parts, b.n)
     return RhoReport(
-        parts=parts,
-        ranks=dec.ranks,
-        rho=dec.rho,
-        m=m,
-        sufficient_defect=dec.rho <= m - 2,
+        parts=tuple(tuple(i for i in range(b.n) if p >> i & 1) for p in masks),
+        ranks=tuple(parts[p] + 1 for p in masks),
+        rho=rho,
+        m=b.m,
+        sufficient_defect=rho <= b.m - 2,
     )
 
 

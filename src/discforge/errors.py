@@ -50,10 +50,6 @@ class PyramidInput(PreconditionError):
     """Configuration is a pyramid (a dual vector is zero) where forbidden."""
 
 
-class NotIrreducible(PreconditionError):
-    """Configuration has collinear dual vectors where forbidden."""
-
-
 class DuplicatePoint(PreconditionError):
     """Point configuration contains a repeated column."""
 

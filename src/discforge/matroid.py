@@ -13,14 +13,7 @@ from operator import add
 from typing import NamedTuple
 
 from .config import GaleConfiguration
-from .errors import (
-    DiscforgeError,
-    NotHomogeneous,
-    NotIrreducible,
-    PyramidInput,
-)
-from .lattice import IntMatrix, echelon_extend, eliminate, integer_solve
-from .lattice import primitive, row_hermite
+from .lattice import IntMatrix, echelon_extend, eliminate, primitive
 
 
 class Flat(NamedTuple):
@@ -38,19 +31,6 @@ class ReduceResult(NamedTuple):
     merged: tuple[tuple[int, ...], ...]
     removed_splitting: tuple[tuple[int, ...], ...]
     removed_zero: tuple[int, ...]
-
-
-class Decomposition(NamedTuple):
-    parts: tuple[tuple[int, ...], ...]
-    ranks: tuple[int, ...]
-
-    @property
-    def s(self) -> int:
-        return len(self.parts)
-
-    @property
-    def rho(self) -> int:
-        return sum(self.ranks) - self.s
 
 
 def collinear_classes(cfg: GaleConfiguration) -> list[tuple[int, ...]]:
@@ -307,63 +287,3 @@ def flag_walk(cfg, k, memo, seen, flat, basis, best):
         if found is not best:
             best = found[0], (cover,) + found[1]
     return best
-
-
-def restrict_to_span(cfg: GaleConfiguration, indices) -> GaleConfiguration:
-    """Re-express the selected rows in a basis of the lattice they
-    generate; the result has full column rank equal to the flat rank."""
-    indices = sorted(indices)
-    rows = [cfg.row(i) for i in indices]
-    basis = row_hermite(IntMatrix(rows))
-    coords = []
-    for r in rows:
-        x = integer_solve(basis, r)
-        if x is None:
-            raise DiscforgeError("generator must lie in its own row lattice")
-        coords.append(x)
-    return GaleConfiguration(
-        IntMatrix(coords), labels=[cfg.labels[i] for i in indices]
-    )
-
-
-def decompose(cfg: GaleConfiguration, is_defect) -> Decomposition:
-    """Greedy split into maximal homogeneous non-defect flats.
-
-    ``is_defect`` is a callback taking a full-rank GaleConfiguration and
-    returning a bool; parts are found top rank first, lexicographically
-    smallest first, each a flat of the remaining configuration.
-    """
-    if not cfg.is_homogeneous():
-        raise NotHomogeneous("decomposition needs a homogeneous configuration")
-    if cfg.zero_rows():
-        raise PyramidInput("zero rows cannot be decomposed")
-    if any(len(cls) > 1 for cls in collinear_classes(cfg)):
-        raise NotIrreducible("configuration has a collinear pair")
-    remaining = list(range(cfg.n))
-    parts: list[tuple[int, ...]] = []
-    ranks: list[int] = []
-    while remaining:
-        sub = GaleConfiguration(
-            IntMatrix([cfg.row(i) for i in remaining]),
-            labels=[cfg.labels[i] for i in remaining],
-        )
-        levels = flats_by_rank(sub, sub.rank)
-        found = next(
-            (
-                fl
-                for level in reversed(levels[2:])
-                for fl in level
-                if not any(fl.sigma)
-                and not is_defect(restrict_to_span(sub, fl.indices))
-            ),
-            None,
-        )
-        if found is None:
-            raise DiscforgeError(
-                "no homogeneous non-defect flat found; decomposition failed"
-            )
-        parts.append(tuple(remaining[i] for i in found.indices))
-        ranks.append(found.rank)
-        picked = set(found.indices)
-        remaining = [v for i, v in enumerate(remaining) if i not in picked]
-    return Decomposition(parts=tuple(parts), ranks=tuple(ranks))

@@ -34,6 +34,8 @@ that parametrization gives the dual dimension with no flat or flag at
 all.  ``unreduced_dual_dim`` is the one exception: it is the library's
 own walk on the Gale dual, with no certificate, kept to check the
 certificate's answers.
+``oracle_least_rho`` ranks the zero-sum parts of every set partition of
+the rows with ``oracle_rref``, with no part search or cover recursion.
 ``oracle_is_nonsplitting_flag`` checks a witness flag against one
 echelon basis grown up the flag, with every outside row reduced against
 the whole basis at every flat, so that the library's check, which
@@ -490,3 +492,35 @@ def jacobian_dual_dim(a: PointConfiguration) -> int:
             rows.append(list(b.row(i)) + [bl * x for x in at.row(i)])
         best = max(best, len(oracle_rref(rows)[1]))
     return best - 1
+
+
+def _set_partitions(items):
+    """Every partition of the list ``items`` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for blocks in _set_partitions(items[1:]):
+        yield [[first]] + blocks
+        for i in range(len(blocks)):
+            yield blocks[:i] + [[first] + blocks[i]] + blocks[i + 1 :]
+
+
+def oracle_least_rho(b: GaleConfiguration) -> int:
+    """The least sum of (rank P - 1) over the set partitions of the n <= 8
+    rows of B whose parts P each sum to zero, found by listing every set
+    partition."""
+    if b.n > 8:
+        raise ValueError("oracle_least_rho enumerates partitions of n <= 8 rows only")
+    ranks: dict[tuple[int, ...], int] = {}
+    best = None
+    for blocks in _set_partitions(list(range(b.n))):
+        rows = [[b.row(i) for i in p] for p in blocks]
+        if any(any(map(sum, zip(*r))) for r in rows):
+            continue
+        for p, r in zip(blocks, rows):
+            if tuple(p) not in ranks:
+                ranks[tuple(p)] = len(oracle_rref(r)[1])
+        rho = sum(ranks[tuple(p)] - 1 for p in blocks)
+        best = rho if best is None else min(best, rho)
+    return best

@@ -10,7 +10,8 @@ import discforge.config
 import discforge.defect
 from discforge.cli import main
 from discforge.config import SIZE_BOUND_ENV, PointConfiguration
-from discforge.defect import dirocco_fixtures, dual_variety_dim
+from discforge.defect import dirocco_fixtures, dual_variety_dim, rho_bound
+from discforge.errors import SizeBound
 from discforge.matroid import Flat
 from discforge.poly import poly_from_json_dict
 
@@ -192,6 +193,15 @@ def test_decompose(capsys):
         "m": 5,
         "sufficient_defect": True,
     }
+
+
+def test_decompose_past_the_part_search_cap_is_refused(capsys, monkeypatch):
+    monkeypatch.setattr(discforge.defect, "MAX_PART_BITS", 0)
+    with pytest.raises(SizeBound):
+        rho_bound(PointConfiguration(json.loads(CAY222)))
+    rc, out, err = run(capsys, ["decompose", "--matrix", CAY222])
+    assert (rc, out) == (3, "")
+    assert "SizeBound" in err
 
 
 def test_discriminant_cubic_json(capsys):

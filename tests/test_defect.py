@@ -348,9 +348,9 @@ def test_rho_bound_three_squares(cay222):
 def test_rho_bound_mixed_cayley():
     b = gale_dual(cayley([segment(1), segment(2), segment(2)]))
     rep = rho_bound(b)
-    # rows 0,1 form a splitting pair and belong to no part
-    assert rep.parts == ((2, 3, 4), (5, 6, 7))
-    assert rep.ranks == (2, 2)
+    # rows 0,1 form a splitting pair, a rank-1 part of cost 0
+    assert rep.parts == ((0, 1), (2, 3, 4), (5, 6, 7))
+    assert rep.ranks == (1, 2, 2)
     assert rep.rho == 2
     assert rep.sufficient_defect
 

@@ -1,4 +1,4 @@
-"""Line classes, flats, flags, reduction and greedy decomposition."""
+"""Line classes, flats, flags and reduction."""
 
 from collections import Counter
 
@@ -7,24 +7,17 @@ from oracles import oracle_is_nonsplitting_flag
 
 import discforge.matroid
 from discforge.config import GaleConfiguration, cayley, gale_dual, segment
-from discforge.defect import dual_variety_dim, is_dual_defect
-from discforge.errors import (
-    NotHomogeneous,
-    NotIrreducible,
-    PyramidInput,
-)
+from discforge.defect import dual_variety_dim
 from discforge.matroid import (
     Flat,
     closure,
     collinear_classes,
-    decompose,
     find_nonsplitting_flag,
     flag_walk,
     flats_by_rank,
     flats_of_rank,
     is_nonsplitting_flag,
     reduce,
-    restrict_to_span,
     walk_covers,
 )
 
@@ -242,63 +235,3 @@ def test_find_nonsplitting_flag(seven_point_b):
     assert is_nonsplitting_flag(seven_point_b, flag)
     # length 2 would need a non-splitting top flat; impossible here
     assert find_nonsplitting_flag(seven_point_b, 2) is None
-
-
-def test_restrict_to_span(seven_point_b):
-    sub = restrict_to_span(seven_point_b, [4, 5, 6])
-    assert sub.matrix.to_lists() == [[1], [3], [-2]]
-    assert sub.labels == (
-        seven_point_b.labels[4],
-        seven_point_b.labels[5],
-        seven_point_b.labels[6],
-    )
-
-
-def _defect(sub):
-    return is_dual_defect(sub).defect
-
-
-def test_decompose_single_part():
-    b = GaleConfiguration([[1, 0], [-2, 1], [1, -2], [0, 1]])
-    dec = decompose(b, _defect)
-    assert dec.parts == ((0, 1, 2, 3),)
-    assert dec.ranks == (2,)
-    assert dec.s == 1
-    assert dec.rho == 1
-
-
-def test_decompose_two_planes():
-    b = GaleConfiguration(
-        [
-            [1, 0, 0, 0],
-            [0, 1, 0, 0],
-            [-1, -1, 0, 0],
-            [0, 0, 1, 0],
-            [0, 0, 0, 1],
-            [0, 0, -1, -1],
-        ]
-    )
-    dec = decompose(b, _defect)
-    assert dec.parts == ((0, 1, 2), (3, 4, 5))
-    assert dec.ranks == (2, 2)
-    assert dec.rho == 2
-
-
-def test_decompose_rejects_inhomogeneous():
-    with pytest.raises(NotHomogeneous):
-        decompose(GaleConfiguration([[1, 0], [0, 1], [-1, 0]]), _defect)
-
-
-def test_decompose_rejects_zero_row():
-    with pytest.raises(PyramidInput):
-        decompose(
-            GaleConfiguration([[1, 0], [0, 0], [-1, 0]]), _defect
-        )
-
-
-def test_decompose_rejects_collinear_pair():
-    with pytest.raises(NotIrreducible):
-        decompose(
-            GaleConfiguration([[1, 0], [-1, 0], [0, 1], [0, -1]]),
-            _defect,
-        )

@@ -2,9 +2,9 @@
 
 import pytest
 
-from discforge.defect import is_dual_defect
+from discforge.defect import RhoReport, is_dual_defect
 from discforge.disc import discriminant
-from discforge.matroid import Decomposition, closure
+from discforge.matroid import closure
 
 
 def test_records_are_immutable(seven_point_b, twisted_cubic):
@@ -19,5 +19,5 @@ def test_records_are_immutable(seven_point_b, twisted_cubic):
 
 
 def test_record_equals_the_tuple_of_its_fields():
-    dec = Decomposition(parts=((0, 1),), ranks=(1,))
-    assert dec == (((0, 1),), (1,))
+    rep = RhoReport(parts=((0, 1),), ranks=(1,), rho=0, m=1, sufficient_defect=False)
+    assert rep == (((0, 1),), (1,), 0, 1, False)

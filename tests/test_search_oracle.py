@@ -1,7 +1,7 @@
 """The memoized flag search, the dual dimension over flags of flats and
-its two-sided certificate, the flat covers and their level walk, and the
-flat-based plane split against the plain exhaustive searches in
-``oracles``."""
+its two-sided certificate, the least zero-sum partition, the flat
+covers and their level walk, and the flat-based plane split against the
+plain exhaustive searches in ``oracles``."""
 
 from math import gcd
 
@@ -17,6 +17,7 @@ from oracles import (
     oracle_flag_search,
     oracle_flats_of_rank,
     oracle_is_nonsplitting_flag,
+    oracle_least_rho,
     oracle_rref,
     oracle_support_lattice,
     unreduced_dual_dim,
@@ -42,6 +43,7 @@ from discforge.defect import (
     dirocco_fixtures,
     dual_variety_dim,
     is_dual_defect,
+    rho_bound,
     support_lattice,
 )
 from discforge.errors import DuplicatePoint
@@ -110,7 +112,7 @@ def _bounds(b: GaleConfiguration) -> tuple[int, int]:
     parts = _zero_sum_parts(kernel, b.n)
     assert parts is not None
     low = _jacobian_rank(b, kernel) - 1
-    return low, b.n - b.m - 1 + _least_rho(parts, b.n)
+    return low, b.n - b.m - 1 + _least_rho(parts, b.n)[0]
 
 
 def _check_bounds(b: GaleConfiguration) -> None:
@@ -119,9 +121,27 @@ def _check_bounds(b: GaleConfiguration) -> None:
     assert low <= unreduced_dual_dim(b) <= up <= b.n - 2
 
 
+def _agree_rho(b: GaleConfiguration) -> None:
+    # the reported partition is checked with plain sums and oracle ranks
+    rep = rho_bound(b)
+    if b.n <= 8:
+        assert rep.rho == oracle_least_rho(b)
+    assert sorted(i for p in rep.parts for i in p) == list(range(b.n))
+    for p, r in zip(rep.parts, rep.ranks):
+        rows = [b.row(i) for i in p]
+        assert not any(map(sum, zip(*rows)))
+        assert len(oracle_rref(rows)[1]) == r
+    assert rep.rho == sum(rep.ranks) - len(rep.parts)
+    assert rep.m == b.m
+    assert rep.sufficient_defect == (rep.rho <= b.m - 2)
+    if rep.sufficient_defect:
+        assert is_dual_defect(b).defect
+
+
 def _agree(a: PointConfiguration) -> None:
     b = gale_dual(a)
     _agree_flags(b)
+    _agree_rho(b)
     assert dual_variety_dim(a) == oracle_dual_variety_dim(a)
     _agree_jacobian(a)
     _check_bounds(b)
@@ -323,6 +343,7 @@ def test_reduced_dimension_walk_matches_unreduced_walk_and_jacobian(rows):
     dim = dual_variety_dim(b)
     assert dim == unreduced_dual_dim(b)
     _check_bounds(b)
+    _agree_rho(b)
     try:
         a = dual_of(b)
     except DuplicatePoint:
@@ -452,11 +473,15 @@ def test_reduced_dimension_walk_on_cayley_fixtures(parts, dim, degenerate):
 )
 def test_cayley_ladder_dimension_matches_jacobian(parts, monkeypatch):
     # past n = 12 only with a raised size bound; the certificate settles
-    # each of these with no walk
+    # each of these with no walk, and the least rho meets the Jacobian
     a = cayley([segment(p) for p in parts])
     monkeypatch.setenv(SIZE_BOUND_ENV, str(a.n))
     monkeypatch.setattr(discforge.defect, "flag_walk", None)
-    assert dual_variety_dim(a) == jacobian_dual_dim(a) < a.n - 2
+    dim = jacobian_dual_dim(a)
+    assert dual_variety_dim(a) == dim < a.n - 2
+    rep = rho_bound(a)
+    assert a.n - rep.m - 1 + rep.rho == dim
+    assert rep.sufficient_defect
 
 
 def test_the_walk_decides_when_the_bounds_differ(monkeypatch):
