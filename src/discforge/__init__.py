@@ -24,7 +24,8 @@ _HOME = {
         "glue_resultant", "horn_eval", "horn_implicitize_rank2", "membership", "pullback",
     ),
     "errors": (
-        "DegenerateDual", "DiscforgeError", "ParseError", "PreconditionError", "Unsupported",
+        "DegenerateDual", "DiscforgeError", "NotIrreducible", "ParseError", "PreconditionError",
+        "Unsupported",
     ),
     "lattice": ("IntMatrix", "lattice_index"),
     "matroid": ("ReduceResult", "collinear_classes", "reduce"),

@@ -294,27 +294,24 @@ def _zero_sum_parts(kernel, n: int):
     return parts
 
 
-def _least_rho(parts, n: int) -> tuple[int, tuple[int, ...]]:
-    """The least sum of (rank P - 1) over partitions of the n rows of B
-    into the zero-sum ``parts``, which map each P to rank P - 1, and the
-    masks of one such partition, each part listed by its lowest row.
+def _least_rho(parts) -> dict[int, int]:
+    """Each zero-sum set of rows of B, as a mask, mapped to the least sum
+    of (rank P - 1) over its partitions into the zero-sum ``parts``,
+    which map each P to rank P - 1; the empty set maps to 0.
 
     What is left of a zero-sum set after a zero-sum part is taken out
     sums to zero too, and its mask is the smaller number.  So the least
     sum for each part, as a set to be covered, is found from the parts
     below it in mask order: the part that holds its lowest row, plus the
-    least sum for the rest.  The least (sum, masks) pair is kept, so the
-    partition is fixed too.
+    least sum for the rest.
     """
-    least = {0: (0, ())}
+    least = {0: 0}
     for r in sorted(parts):
         low = r & -r
         least[r] = min(
-            (cost + least[r ^ p][0], (p,) + least[r ^ p][1])
-            for p, cost in parts.items()
-            if p & low and p & r == p
+            cost + least[r ^ p] for p, cost in parts.items() if p & low and p & r == p
         )
-    return least[(1 << n) - 1]
+    return least
 
 
 def dual_variety_dim(cfg) -> int:
@@ -364,7 +361,7 @@ def dual_variety_dim(cfg) -> int:
     if low == n - 2:
         return low
     parts = _zero_sum_parts(kernel, n)
-    if parts is not None and low == n - m - 1 + _least_rho(parts, n)[0]:
+    if parts is not None and low == n - m - 1 + _least_rho(parts)[(1 << n) - 1]:
         return low
     best = flag_walk(b, m - 1, {}, set(), closure(b, ()), (), (-1, ()))
     return n - m - 1 + best[0]
@@ -397,7 +394,19 @@ def rho_bound(cfg) -> RhoReport:
             f"zero-sum part search limited to n - m <= {MAX_PART_BITS} "
             f"and at most {MAX_PARTS} parts"
         )
-    rho, masks = _least_rho(parts, b.n)
+    least = _least_rho(parts)
+    # walk a least partition back from the whole set, taking at each step
+    # the smallest mask that attains the least sum
+    r, masks = (1 << b.n) - 1, []
+    while r:
+        low = r & -r
+        p = min(
+            p for p, cost in parts.items()
+            if p & low and p & r == p and cost + least[r ^ p] == least[r]
+        )
+        masks.append(p)
+        r ^= p
+    rho = least[(1 << b.n) - 1]
     return RhoReport(
         parts=tuple(tuple(i for i in range(b.n) if p >> i & 1) for p in masks),
         ranks=tuple(parts[p] + 1 for p in masks),

@@ -362,6 +362,16 @@ def test_rho_bound_not_sufficient(seven_point_b):
     assert not rep.sufficient_defect
 
 
+def test_rho_bound_at_the_part_cap():
+    # k unit segments give 2^k + 1 zero-sum parts: 129 for k = 7, and
+    # 257 for k = 8, one past MAX_PARTS
+    rep = rho_bound(gale_dual(cayley([segment(1)] * 7)))
+    assert rep.parts == tuple((2 * i, 2 * i + 1) for i in range(7))
+    assert (rep.rho, rep.m, rep.sufficient_defect) == (0, 6, True)
+    with pytest.raises(SizeBound):
+        rho_bound(gale_dual(cayley([segment(1)] * 8)))
+
+
 def test_rho_bound_refuses_a_rank_deficient_dual():
     # refused after the homogeneity check, as in dual_variety_dim
     with pytest.raises(DegenerateDual):

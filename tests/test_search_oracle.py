@@ -112,7 +112,7 @@ def _bounds(b: GaleConfiguration) -> tuple[int, int]:
     parts = _zero_sum_parts(kernel, b.n)
     assert parts is not None
     low = _jacobian_rank(b, kernel) - 1
-    return low, b.n - b.m - 1 + _least_rho(parts, b.n)[0]
+    return low, b.n - b.m - 1 + _least_rho(parts)[(1 << b.n) - 1]
 
 
 def _check_bounds(b: GaleConfiguration) -> None:
