@@ -157,8 +157,8 @@ def cmd_defect(args) -> int:
     b = gale_side(_config(args))
     report = is_dual_defect(b)
     # a non-defect verdict carries a verified flag, so the dual is a
-    # hypersurface; only a defect verdict needs the dimension walk, and
-    # once the verdict has accepted B only the size bound can refuse it
+    # hypersurface; only a defect verdict needs ``dual_variety_dim``,
+    # and once the verdict has accepted B only the size bound can refuse it
     dim = b.n - 2
     if report.defect:
         try:

@@ -1,12 +1,12 @@
 """Dual-defect classification and dual variety dimension.
 
 The classifier decides whether a configuration's dual variety fails to be
-a hypersurface.  After the structural tests (a degenerate reduction, and
-complementary planes in codimension 4) it searches for a non-splitting
-flag of length m - 1, whose existence is equivalent to the dual variety
-having full dimension n - 2.  The dimension itself is maximized over
-complete flags of flats of the Gale dual, unless a Jacobian rank below
-and a partition of the dual vectors into zero-sum parts above meet.
+a hypersurface: by structural tests (a degenerate reduction, complementary
+planes in codimension 4, and from codimension 5 on rho <= m - 2), else by
+one search for a non-splitting flag of length m - 1, whose existence is
+equivalent to the dual variety having full dimension n - 2.  The dimension
+itself is maximized over complete flags of flats of the Gale dual, unless
+a Jacobian rank below and the least rho above meet.
 """
 
 from __future__ import annotations
@@ -88,7 +88,10 @@ def is_dual_defect(cfg) -> DefectReport:
 
     The returned witness is a verified non-splitting flag of length m - 1
     for the non-defect verdict, and a structural certificate (degenerate
-    reduction, complementary planes, or exhausted flag search) otherwise.
+    reduction, complementary planes, or no flag of length m - 1)
+    otherwise.  From m = 5 on, rho <= m - 2 (``rho_bound``) proves that
+    no such flag exists, so that verdict keeps the search's method name
+    "flag-search"; else B is searched once.
     """
     b = _validate(cfg)
     m = b.m
@@ -123,18 +126,13 @@ def is_dual_defect(cfg) -> DefectReport:
                     "parts": [list(p) for p in orig],
                 },
             )
-    # B has a flag of sigma rank m - 1 exactly when its full-rank
-    # reduction R has one; B gives the witness.  A flat holds each line
-    # class whole, so a merged class is one row of R with the same share
-    # of every sigma, and a splitting class adds 0 to every sigma.
-    # F -> F minus C sends a flag of B to a chain of flats of R of rank
-    # below m with the same sigmas, and a complete flag of R through it
-    # has at least their rank; G -> closure_B(G) sends a complete flag
-    # of R to one of B with the same ranks and sigmas.  R has rank m
-    # here: a degenerate reduction returned above.
-    walk = red.config if red.config.n < b.n else b
-    flag = find_nonsplitting_flag(walk, m - 1)
-    if flag is not None and walk is not b:
+    # rho <= m - 2 bounds the dual dimension by n - 3 (``dual_variety_dim``)
+    parts = None
+    if m >= 5:
+        parts = _zero_sum_parts(rational_nullspace(b.matrix.transpose().data), b.n)
+    if parts is not None and _least_rho(parts)[(1 << b.n) - 1] <= m - 2:
+        flag = None
+    else:
         flag = find_nonsplitting_flag(b, m - 1)
     if flag is None:
         if m <= 4:

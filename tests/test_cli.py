@@ -457,13 +457,32 @@ def test_size_bound_rejects_negative_and_malformed(monkeypatch, capsys):
     assert SIZE_BOUND_ENV in err
 
 
+def test_defect_on_a_large_cayley_answers_with_an_unknown_dimension(
+    capsys, monkeypatch
+):
+    # the rho bound gives the verdict at once, and the size bound
+    # refuses the dimension of n = 22
+    monkeypatch.delenv(SIZE_BOUND_ENV, raising=False)
+    a = discforge.config.cayley([discforge.config.segment(p) for p in (3, 4, 5, 6)])
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, ["defect", "--matrix", json.dumps(a.matrix.to_lists())])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 0
+    assert json.loads(out) == {
+        "defect": True,
+        "witness": {"kind": "no-nonsplitting-flag", "length": 16},
+        "dual_dim": None,
+        "method": "flag-search",
+    }
+
+
 def test_broken_invariant_is_an_error_line_not_a_traceback(capsys, monkeypatch):
     # a flag whose first flat has the wrong rank fails the witness re-check
-    bogus = (Flat(indices=(0,), rank=2, sigma=(0,) * 5),)
+    bogus = (Flat(indices=(0,), rank=2, sigma=(0, 0)),)
     monkeypatch.setattr(
         discforge.defect, "find_nonsplitting_flag", lambda cfg, k: bogus
     )
-    rc, out, err = run(capsys, ["defect", "--matrix", CAY222])
+    rc, out, err = run(capsys, ["defect", "--matrix", CUBIC])
     assert rc == 3
     assert out == ""
     assert err.startswith("error: DiscforgeError: flag search returned an invalid witness")

@@ -140,8 +140,9 @@ def _count_searches(monkeypatch) -> list[int]:
     return searched
 
 
-def test_a_full_rank_reduction_settles_a_defect_verdict(monkeypatch):
-    # the reduction of cayley(1,2,2,2) keeps rank 6 with 9 of B's 11 rows
+def test_the_rho_bound_settles_a_defect_verdict_with_no_search(monkeypatch):
+    # the reduction of cayley(1,2,2,2) keeps rank 6 with 9 of B's 11 rows,
+    # and its least rho, 3 <= m - 2, proves defect before any search
     b = gale_dual(cayley([segment(1)] + [segment(2)] * 3))
     red = reduce(b).config
     assert (b.n, red.n, red.rank, b.m) == (11, 9, 6, 6)
@@ -150,7 +151,17 @@ def test_a_full_rank_reduction_settles_a_defect_verdict(monkeypatch):
     assert rep.defect
     assert rep.method == "flag-search"
     assert rep.witness == {"kind": "no-nonsplitting-flag", "length": 5}
-    assert searched == [9]
+    assert searched == []
+
+
+@pytest.mark.parametrize("parts", [(2, 3, 4, 5), (3, 4, 5, 6), (4, 5, 6, 7)])
+def test_the_rho_bound_settles_the_cayley_ladder(parts, monkeypatch):
+    # with no search to fall back on, the rho bound alone settles each
+    monkeypatch.setattr(discforge.defect, "find_nonsplitting_flag", None)
+    a = cayley([segment(p) for p in parts])
+    m = a.n - a.d
+    witness = {"kind": "no-nonsplitting-flag", "length": m - 1}
+    assert is_dual_defect(a) == (True, "flag-search", witness)
 
 
 # 7 rows in four line classes: rows 0, 1 parallel, and rows 2, 4, 5 on
@@ -171,8 +182,8 @@ def test_a_reducible_non_defect_witness_is_a_flag_of_b(monkeypatch):
     flag = find_nonsplitting_flag(b, b.m - 1)
     assert rep.witness == {"kind": "flag", "flats": [list(fl.indices) for fl in flag]}
     assert rep.witness["flats"] == [[0, 1], [0, 1, 2, 4, 5]]
-    # the reduction finds a flag, and B is searched for the witness
-    assert searched == [4, 7]
+    # B alone is searched, once
+    assert searched == [7]
 
 
 def test_a_reducible_witness_comes_from_the_search_of_b():

@@ -12,8 +12,10 @@ from discforge.cli import main
 from discforge.config import (
     GaleConfiguration,
     PointConfiguration,
+    cayley,
     dual_of,
     gale_dual,
+    segment,
     standard_form,
 )
 from discforge.disc import (
@@ -250,6 +252,18 @@ def test_trivial_routes():
     assert defect.is_trivial
     assert defect.provenance["method"] == "defect"
     assert defect.provenance["defect_method"] == "flag-search"
+
+
+def test_a_large_cayley_discriminant_is_trivial_with_no_search():
+    # n = 22, m = 17: the rho bound settles the verdict with no search
+    cay = cayley([segment(p) for p in (3, 4, 5, 6)])
+    result = discriminant(cay)
+    assert result.is_trivial
+    assert result.provenance == {
+        "method": "defect",
+        "defect_method": "flag-search",
+        "witness": {"kind": "no-nonsplitting-flag", "length": 16},
+    }
 
 
 def test_unsupported_routes():

@@ -308,13 +308,13 @@ def test_a_cover_expansion_keeps_some_residuals_and_moves_others():
 
 
 @st.composite
-def dual_rows(draw):
-    """A homogeneous Gale dual of rank m <= 5 with at most 10 nonzero
-    rows: fresh rows, parallel and antiparallel copies of earlier rows,
-    and pairs v, -v, which form a splitting class unless a later row
-    joins their line, closed by minus the sum of the rows when that is
-    not zero."""
-    m = draw(st.integers(1, 5))
+def dual_rows(draw, least_m=1):
+    """A homogeneous Gale dual of rank least_m <= m <= 5 with at most 10
+    nonzero rows: fresh rows, parallel and antiparallel copies of earlier
+    rows, and pairs v, -v, which form a splitting class unless a later
+    row joins their line, closed by minus the sum of the rows when that
+    is not zero."""
+    m = draw(st.integers(least_m, 5))
     fresh = st.tuples(*[st.integers(-2, 2)] * m).filter(any)
     size = draw(st.integers(m, 9))
     rows: list[tuple[int, ...]] = []
@@ -447,12 +447,33 @@ def test_witness_check_matches_the_whole_basis_oracle(rows):
 @example(_cayley_rows(1, 2, 3))
 @example(_cayley_rows(1, 3, 3))
 def test_a_full_rank_reduction_has_a_nonsplitting_flag_exactly_when_b_has(rows):
-    # ``is_dual_defect`` settles defect verdicts on the reduction
+    # the search on a full-rank reduction against the search on B, which
+    # is the one ``is_dual_defect`` runs
     b = GaleConfiguration(rows)
     red = reduce(b).config
     assume(red.rank == b.m)
     on_red = find_nonsplitting_flag(red, b.m - 1)
     assert (on_red is None) == (find_nonsplitting_flag(b, b.m - 1) is None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dual_rows(least_m=5))
+# draws at m = 5 are rarely defect; these are, and the rho bound
+# settles them with no search
+@example(_cayley_rows(2, 2, 2))
+@example(_cayley_rows(1, 2, 3))
+@example(_cayley_rows(1, 2, 2, 2))
+def test_the_rho_bound_gives_the_flag_search_report(rows):
+    # past the structural tests of a full-rank reduction, the report is
+    # the one the exhaustive search of B alone gives
+    b = GaleConfiguration(rows)
+    assume(reduce(b).config.rank == b.m)
+    flag = oracle_flag_search(b, b.m - 1)
+    if flag is None:
+        witness = {"kind": "no-nonsplitting-flag", "length": b.m - 1}
+    else:
+        witness = {"kind": "flag", "flats": [list(fl.indices) for fl in flag]}
+    assert is_dual_defect(b) == (flag is None, "flag-search", witness)
 
 
 @pytest.mark.parametrize(
