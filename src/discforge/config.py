@@ -185,10 +185,17 @@ def is_homogeneous(cfg: PointConfiguration) -> bool:
 
 
 def gale_dual(cfg: PointConfiguration) -> GaleConfiguration:
-    """Gale dual: kernel lattice basis vectors as columns, index 1."""
+    """Gale dual: kernel lattice basis vectors as columns.
+
+    The columns are a Hermite basis of a saturated lattice, so B comes
+    with its rank m and index 1 already known.
+    """
     cols = kernel_lattice_basis(cfg.matrix).data
-    rows = [tuple(v[i] for v in cols) for i in range(cfg.n)]
-    return GaleConfiguration(IntMatrix(rows), labels=cfg.labels)
+    rows = tuple(tuple(v[i] for v in cols) for i in range(cfg.n))
+    b = GaleConfiguration(IntMatrix._of(rows), labels=cfg.labels)
+    object.__setattr__(b, "_rank", len(cols))
+    object.__setattr__(b, "_index", 1)
+    return b
 
 
 def gale_side(cfg) -> GaleConfiguration:
@@ -201,6 +208,17 @@ def gale_side(cfg) -> GaleConfiguration:
     raise TypeError("expected a point or Gale configuration")
 
 
+def _orthogonal_basis(b: GaleConfiguration) -> IntMatrix:
+    """Canonical basis of the saturated lattice orthogonal to the columns
+    of B: all of Z^n, as the identity, when B has no columns."""
+    if b.m == 0:
+        n = b.n
+        return IntMatrix._of(
+            tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        )
+    return kernel_lattice_basis(b.matrix.transpose())
+
+
 def dual_of(cfg: GaleConfiguration) -> PointConfiguration:
     """Point configuration dual to a vector configuration.
 
@@ -208,20 +226,12 @@ def dual_of(cfg: GaleConfiguration) -> PointConfiguration:
     orthogonal to the columns of B; a zero row of B makes the result a
     pyramid, which callers may report.
     """
-    return PointConfiguration(
-        kernel_lattice_basis(cfg.matrix.transpose()), labels=cfg.labels
-    )
+    return PointConfiguration(_orthogonal_basis(cfg), labels=cfg.labels)
 
 
 def saturated_row_basis(cfg: PointConfiguration) -> IntMatrix:
     """Hermite basis of (rational row span of A) intersected with Z^n."""
-    b = gale_dual(cfg)
-    if b.m == 0:
-        # full-rank configuration: the saturated row lattice is all of Z^n
-        return IntMatrix(
-            [[1 if i == j else 0 for j in range(cfg.n)] for i in range(cfg.n)]
-        )
-    return kernel_lattice_basis(b.matrix.transpose())
+    return _orthogonal_basis(gale_dual(cfg))
 
 
 def standard_form(cfg: PointConfiguration) -> PointConfiguration:

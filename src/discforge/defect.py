@@ -12,7 +12,7 @@ a Jacobian rank below and the least rho above meet.
 from __future__ import annotations
 
 from math import lcm
-from operator import add
+from operator import add, mul
 from typing import NamedTuple
 
 from .config import (
@@ -31,7 +31,7 @@ from .errors import (
     PyramidInput,
     SizeBound,
 )
-from .lattice import IntMatrix, bareiss, rank, rational_nullspace
+from .lattice import bareiss, rational_nullspace
 from .matroid import (
     closure,
     find_nonsplitting_flag,
@@ -77,7 +77,7 @@ def _complementary_planes(red: GaleConfiguration):
     complement; or None."""
     for fl in flats_of_rank(red, 2):
         rest = tuple(t for t in range(red.n) if t not in fl.indices)
-        if rank(IntMatrix([red.row(t) for t in rest])) == 2:
+        if bareiss([red.row(t) for t in rest])[0] == 2:
             return fl.indices, rest
     return None
 
@@ -129,7 +129,7 @@ def is_dual_defect(cfg) -> DefectReport:
     # rho <= m - 2 bounds the dual dimension by n - 3 (``dual_variety_dim``)
     parts = None
     if m >= 5:
-        parts = _zero_sum_parts(rational_nullspace(b.matrix.transpose().data), b.n)
+        parts = _zero_sum_parts(rational_nullspace(zip(*b.rows())), b.n)
     if parts is not None and _least_rho(parts)[(1 << b.n) - 1] <= m - 2:
         flag = None
     else:
@@ -236,13 +236,36 @@ def _lambda0(m: int) -> list[int]:
 
 def _jacobian_rank(b: GaleConfiguration, kernel) -> int:
     """rank M(lam0) for M(lam) = [B | diag(B lam) K^T], K the rows of
-    ``kernel``."""
+    ``kernel``, read off a square matrix of size min(m, d), d = n - m.
+
+    Let D = diag(B lam0) and T = (B^T; K).  T is invertible over Q, since
+    col B and ker B^T, the row span of K, are complements in Q^n.  Then
+
+        T M = [[B^T B, B^T D K^T], [0, K D K^T]],
+
+    and B^T B is invertible (B has rank m), so rank M = m + rank(K D K^T)
+    for every D.  When no entry of B lam0 is zero,
+
+        T D^-1 M = [[B^T D^-1 B, 0], [K D^-1 B, K K^T]],
+
+    and K K^T is invertible, so rank M = d + rank(B^T D^-1 B), which is
+    the rank of the integer matrix B^T (l D^-1) B, l the lcm of the
+    entries of B lam0.  That m x m block is eliminated when d > m and D
+    is invertible, the d x d block K D K^T otherwise.
+    """
     lam = _lambda0(b.m)
-    rows = []
-    for i, row in enumerate(b.rows()):
-        s = sum(x * y for x, y in zip(row, lam))
-        rows.append(row + tuple(s * v[i] for v in kernel))
-    return bareiss(rows)[0]
+    rows = b.rows()
+    s = [sum(x * y for x, y in zip(row, lam)) for row in rows]
+    if len(kernel) > b.m and all(s):
+        ell = lcm(*s)
+        return len(kernel) + _gram_rank([ell // x for x in s], list(zip(*rows)))
+    return b.m + _gram_rank(s, kernel)
+
+
+def _gram_rank(w, vecs) -> int:
+    """rank (u . diag(w) v) over the vectors u, v of ``vecs``."""
+    scaled = [list(map(mul, w, u)) for u in vecs]
+    return bareiss([[sum(map(mul, wu, v)) for v in vecs] for wu in scaled])[0]
 
 
 def _zero_sum_parts(kernel, n: int):
@@ -354,7 +377,7 @@ def dual_variety_dim(cfg) -> int:
     b = _validate(cfg)
     _check_size(b)
     n, m = b.n, b.m
-    kernel = rational_nullspace(b.matrix.transpose().data)
+    kernel = rational_nullspace(zip(*b.rows()))
     low = _jacobian_rank(b, kernel) - 1
     if low == n - 2:
         return low
@@ -385,7 +408,7 @@ def rho_bound(cfg) -> RhoReport:
     raises ``SizeBound``.
     """
     b = _validate(cfg)
-    kernel = rational_nullspace(b.matrix.transpose().data)
+    kernel = rational_nullspace(zip(*b.rows()))
     parts = _zero_sum_parts(kernel, b.n)
     if parts is None:
         raise SizeBound(

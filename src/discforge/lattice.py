@@ -17,7 +17,11 @@ from .errors import DegenerateDual, DiscforgeError, NotInSpan, ParseError
 
 
 class IntMatrix:
-    """Immutable rectangular integer matrix."""
+    """Immutable rectangular integer matrix.
+
+    ``IntMatrix(rows)`` is the input boundary and checks every entry and
+    row length; ``IntMatrix._of`` wraps rows computed here unchecked.
+    """
 
     __slots__ = ("data",)
 
@@ -36,6 +40,14 @@ class IntMatrix:
             data.append(tup)
         object.__setattr__(self, "data", tuple(data))
 
+    @classmethod
+    def _of(cls, data: tuple) -> "IntMatrix":
+        """The matrix on ``data``, a tuple of equal-length tuples of ints,
+        taken as it is."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "data", data)
+        return m
+
     @property
     def rows(self) -> int:
         return len(self.data)
@@ -51,7 +63,7 @@ class IntMatrix:
         return tuple(r[j] for r in self.data)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.data)) if self.data else IntMatrix([])
+        return IntMatrix._of(tuple(zip(*self.data)))
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.data]
@@ -199,13 +211,13 @@ def row_hermite_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 for j in range(nr):
                     u[i][j] -= q * u[r][j]
         r += 1
-    return IntMatrix(a), IntMatrix(u)
+    return IntMatrix._of(tuple(map(tuple, a))), IntMatrix._of(tuple(map(tuple, u)))
 
 
 def row_hermite(m: IntMatrix) -> IntMatrix:
     """Row Hermite normal form with zero rows removed."""
     h, _ = row_hermite_transform(m)
-    return IntMatrix([row for row in h.data if any(row)])
+    return IntMatrix._of(tuple(row for row in h.data if any(row)))
 
 
 def _pivot_columns(h: IntMatrix) -> list[int]:
@@ -226,8 +238,8 @@ def kernel_lattice_basis(m: IntMatrix) -> IntMatrix:
     integer solutions, hence the kernel comes out saturated by construction.
     """
     h, u = row_hermite_transform(m.transpose())
-    vecs = [u.row(i) for i in range(h.rows) if not any(h.row(i))]
-    return row_hermite(IntMatrix(vecs))
+    vecs = tuple(u.row(i) for i in range(h.rows) if not any(h.row(i)))
+    return row_hermite(IntMatrix._of(vecs))
 
 
 def lattice_index(c: IntMatrix) -> int:

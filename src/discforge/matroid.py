@@ -62,7 +62,7 @@ def reduce(cfg: GaleConfiguration) -> ReduceResult:
         else:
             removed.append(cls)
     config = GaleConfiguration(
-        IntMatrix(rows),
+        IntMatrix._of(tuple(rows)),
         labels=[cfg.labels[cls[0]] for cls in merged] or None,
     )
     return ReduceResult(

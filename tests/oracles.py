@@ -34,6 +34,9 @@ that parametrization gives the dual dimension with no flat or flag at
 all.  ``unreduced_dual_dim`` is the one exception: it is the library's
 own walk on the Gale dual, with no certificate, kept to check the
 certificate's answers.
+``oracle_jacobian_rank`` ranks the whole n x n matrix of that
+Jacobian at the library's fixed point with ``oracle_rref``, where the
+library reads the rank off a smaller block.
 ``oracle_least_rho`` ranks the zero-sum parts of every set partition of
 the rows with ``oracle_rref``, with no part search or cover recursion.
 ``oracle_is_nonsplitting_flag`` checks a witness flag against one
@@ -492,6 +495,20 @@ def jacobian_dual_dim(a: PointConfiguration) -> int:
             rows.append(list(b.row(i)) + [bl * x for x in at.row(i)])
         best = max(best, len(oracle_rref(rows)[1]))
     return best - 1
+
+
+def oracle_jacobian_rank(b: GaleConfiguration, kernel) -> int:
+    """rank [B | diag(B lam0) K^T], K the rows of ``kernel``, from
+    ``oracle_rref`` on the whole n x n matrix; lam0 is recomputed from
+    the formula of ``defect._lambda0``."""
+    lam = [
+        pow(48271, j, 2**31 - 1) % 1_000_001 - 500_000 for j in range(1, b.m + 1)
+    ]
+    rows = []
+    for i, row in enumerate(b.rows()):
+        s = sum(x * y for x, y in zip(row, lam))
+        rows.append(list(row) + [s * v[i] for v in kernel])
+    return len(oracle_rref(rows)[1])
 
 
 def _set_partitions(items):

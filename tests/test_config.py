@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from discforge.config import (
     GaleConfiguration,
@@ -18,7 +20,7 @@ from discforge.errors import (
     NotHomogeneous,
     ParseError,
 )
-from discforge.lattice import IntMatrix
+from discforge.lattice import IntMatrix, lattice_index, rank
 
 
 def test_point_configuration_validation():
@@ -66,6 +68,41 @@ def test_dual_round_trip():
     a = PointConfiguration([[1, 1, 1, 1], [0, 1, 2, 3]])
     back = standard_form(dual_of(gale_dual(a)))
     assert back.matrix.to_lists() == [[1, 1, 1, 1], [0, 1, 2, 3]]
+
+
+def test_dual_of_a_gale_dual_with_no_columns():
+    # a full-rank A has m = 0; the saturated lattice orthogonal to no
+    # columns is all of Z^n, so its dual is the identity configuration
+    a = PointConfiguration([[1, 1], [0, 1]])
+    b = gale_dual(a)
+    assert (b.n, b.m) == (2, 0)
+    back = dual_of(b)
+    assert back.matrix.to_lists() == [[1, 0], [0, 1]]
+    assert back.labels == a.labels
+    assert gale_dual(back) == b
+    assert standard_form(back) == standard_form(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+            min_size=d,
+            max_size=7,
+        )
+    )
+)
+def test_gale_dual_carries_its_rank_and_index(points):
+    # B's columns are a Hermite basis of a saturated lattice, so its rank
+    # is m and its index 1 with nothing recomputed
+    try:
+        a = PointConfiguration([list(r) for r in zip(*points)])
+    except (DuplicatePoint, DegenerateDual):
+        assume(False)
+    b = gale_dual(a)
+    assert b.rank == rank(b.matrix) == b.m == a.n - a.d
+    assert b.index == lattice_index(b.matrix) == 1
 
 
 def test_standard_form_requires_homogeneous():

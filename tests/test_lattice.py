@@ -33,12 +33,14 @@ from discforge.lattice import (
 
 
 def test_intmatrix_rejects_ragged_and_nonint():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^matrix rows have unequal lengths$"):
         IntMatrix([[1, 2], [3]])
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^matrix entry 2\.5 is not an integer$"):
         IntMatrix([[1, 2.5]])
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^matrix entry True is not an integer$"):
         IntMatrix([[1, True]])
+    with pytest.raises(ParseError, match="^matrix entry '1' is not an integer$"):
+        IntMatrix([[2], ["1"]])
 
 
 def test_rank_and_det():
@@ -118,6 +120,25 @@ def test_echelon_extend_tracks_rank(rows):
             assert not any(r[:p]) and r[p] > 0
             assert r == primitive(r)
         basis = grown
+
+
+def _as_checked(m: IntMatrix) -> None:
+    # the matrix the checked constructor builds from the same rows
+    assert type(m.data) is tuple
+    assert all(type(r) is tuple and all(type(x) is int for x in r) for r in m.data)
+    assert IntMatrix(m.data) == m
+
+
+@given(row_sequences())
+def test_computed_matrices_hold_what_the_checked_constructor_would(rows):
+    # transpose, the Hermite outputs and the kernel basis wrap the rows
+    # they compute with no per-entry check
+    m = IntMatrix(rows)
+    _as_checked(m.transpose())
+    for out in row_hermite_transform(m):
+        _as_checked(out)
+    _as_checked(row_hermite(m))
+    _as_checked(kernel_lattice_basis(m))
 
 
 @st.composite
