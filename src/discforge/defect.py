@@ -236,7 +236,7 @@ def _lambda0(m: int) -> list[int]:
 
 def _jacobian_rank(b: GaleConfiguration, kernel) -> int:
     """rank M(lam0) for M(lam) = [B | diag(B lam) K^T], K the rows of
-    ``kernel``, read off a square matrix of size min(m, d), d = n - m.
+    ``kernel``, read off the d x d matrix K D K^T, d = n - m.
 
     Let D = diag(B lam0) and T = (B^T; K).  T is invertible over Q, since
     col B and ker B^T, the row span of K, are complements in Q^n.  Then
@@ -244,28 +244,12 @@ def _jacobian_rank(b: GaleConfiguration, kernel) -> int:
         T M = [[B^T B, B^T D K^T], [0, K D K^T]],
 
     and B^T B is invertible (B has rank m), so rank M = m + rank(K D K^T)
-    for every D.  When no entry of B lam0 is zero,
-
-        T D^-1 M = [[B^T D^-1 B, 0], [K D^-1 B, K K^T]],
-
-    and K K^T is invertible, so rank M = d + rank(B^T D^-1 B), which is
-    the rank of the integer matrix B^T (l D^-1) B, l the lcm of the
-    entries of B lam0.  That m x m block is eliminated when d > m and D
-    is invertible, the d x d block K D K^T otherwise.
+    for every D.
     """
     lam = _lambda0(b.m)
-    rows = b.rows()
-    s = [sum(x * y for x, y in zip(row, lam)) for row in rows]
-    if len(kernel) > b.m and all(s):
-        ell = lcm(*s)
-        return len(kernel) + _gram_rank([ell // x for x in s], list(zip(*rows)))
-    return b.m + _gram_rank(s, kernel)
-
-
-def _gram_rank(w, vecs) -> int:
-    """rank (u . diag(w) v) over the vectors u, v of ``vecs``."""
-    scaled = [list(map(mul, w, u)) for u in vecs]
-    return bareiss([[sum(map(mul, wu, v)) for v in vecs] for wu in scaled])[0]
+    s = [sum(x * y for x, y in zip(row, lam)) for row in b.rows()]
+    scaled = [list(map(mul, s, k)) for k in kernel]
+    return b.m + bareiss([[sum(map(mul, sk, k)) for k in kernel] for sk in scaled])[0]
 
 
 def _zero_sum_parts(kernel, n: int):
