@@ -70,8 +70,8 @@ class PointConfiguration:
             labels = tuple(labels)
             if len(labels) != matrix.cols:
                 raise ValueError("one label per point required")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "labels", labels)
+        self.matrix = matrix
+        self.labels = labels
 
     @property
     def d(self) -> int:
@@ -103,6 +103,8 @@ class GaleConfiguration:
 
     The ambient codimension is the column count m; the actual rank may be
     smaller for degenerate inputs such as reduced configurations.
+    ``matrix`` and ``labels`` are not changed after construction, because
+    equality and hash read them; rank and index are cached on first use.
     """
 
     __slots__ = ("matrix", "labels", "_rank", "_index")
@@ -116,10 +118,10 @@ class GaleConfiguration:
             labels = tuple(labels)
             if len(labels) != matrix.rows:
                 raise ValueError("one label per row required")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_rank", None)
-        object.__setattr__(self, "_index", None)
+        self.matrix = matrix
+        self.labels = labels
+        self._rank = None
+        self._index = None
 
     @property
     def n(self) -> int:
@@ -132,14 +134,14 @@ class GaleConfiguration:
     @property
     def rank(self) -> int:
         if self._rank is None:
-            object.__setattr__(self, "_rank", rank(self.matrix))
+            self._rank = rank(self.matrix)
         return self._rank
 
     @property
     def index(self) -> int:
         """gcd of the maximal minors; requires full column rank."""
         if self._index is None:
-            object.__setattr__(self, "_index", lattice_index(self.matrix))
+            self._index = lattice_index(self.matrix)
         return self._index
 
     def row(self, i: int) -> tuple[int, ...]:
@@ -193,8 +195,8 @@ def gale_dual(cfg: PointConfiguration) -> GaleConfiguration:
     cols = kernel_lattice_basis(cfg.matrix).data
     rows = tuple(tuple(v[i] for v in cols) for i in range(cfg.n))
     b = GaleConfiguration(IntMatrix._of(rows), labels=cfg.labels)
-    object.__setattr__(b, "_rank", len(cols))
-    object.__setattr__(b, "_index", 1)
+    b._rank = len(cols)
+    b._index = 1
     return b
 
 

@@ -296,7 +296,9 @@ def glue_resultant(
     ``split`` is a pair of index tuples partitioning the rows of cfg: the
     first part must span the full codimension, the second must be a
     homogeneous collinear set.  d1 and d2 live on the respective parts'
-    variables.  The auxiliary scaling u^gamma / u^mu is eliminated by a
+    variables; they are normalized first, which changes the result by a
+    monomial and a constant only, so the resultant's coefficients are
+    polynomials.  The auxiliary scaling u^gamma / u^mu is eliminated by a
     Sylvester resultant; shifts are chosen minimal so no extraneous factor
     appears.
     """
@@ -319,17 +321,14 @@ def glue_resultant(
     if any(cfg.sigma(idx1)) or any(cfg.sigma(idx2)):
         raise InconsistentSplit("both parts must be homogeneous")
     w, betas = _class_multiples(rows2)
-    q = smallest_multiplier(m1, w)
-    gamma = integer_solve(m1, tuple(q * x for x in w))
-    if gamma is None:
-        raise InconsistentSplit(f"{q} times the direction is not an integer row combination")
+    q, gamma = smallest_multiplier(m1, w)
     mu = integer_solve(IntMatrix([[b] for b in betas]), (-q,))
     if mu is None:
         raise NonPrimitive(
             f"class content {gcd(*betas)} does not divide the required weight {-q}"
         )
-    u1 = scaled_substitute(d1, gamma)
-    u2 = scaled_substitute(d2, mu)
+    u1 = scaled_substitute(d1.normalize(), gamma)
+    u2 = scaled_substitute(d2.normalize(), mu)
     lift1 = UniPoly(n, [c.embed(n, idx1) for c in u1.coeffs])
     lift2 = UniPoly(n, [c.embed(n, idx2) for c in u2.coeffs])
     return resultant_u(lift1, lift2).normalize()
@@ -420,10 +419,6 @@ def _disc_b(b: GaleConfiguration) -> DiscriminantResult:
     c1 = GaleConfiguration(
         IntMatrix(rows1), labels=tuple(glue_cfg.labels[i] for i in idx1)
     )
-    if c1.rank < m:
-        raise Unsupported(
-            "remaining rows do not span the codimension after splitting off a class"
-        )
     if c1.index != 1:
         raise Unsupported(
             f"inner configuration has index {c1.index}; translate duals are out of scope"
@@ -521,14 +516,11 @@ def check_specialization(cfg, j: int, line=None) -> bool:
     )
     if line is not None and tuple(sorted(line)) != cls:
         raise InconsistentSplit("given line does not match the class of j")
-    sigma = b.sigma(cls)
-    if not any(sigma):
+    w, betas = _class_multiples([b.row(i) for i in cls])
+    total = sum(betas)
+    if not total:
         raise SplittingLine("the line of b_j is splitting")
-    g = gcd(*sigma)
-    w = tuple(x // g for x in sigma)
-    piv = next(i for i, x in enumerate(w) if x)
-    beta_j = Fraction(b.row(j)[piv], w[piv])
-    if beta_j <= 0:
+    if betas[cls.index(j)] * total < 0:
         raise NotPositiveMultiple("b_j lies on the negative side of its line")
     result = discriminant(b)
     h, u = row_hermite_transform(IntMatrix([[x] for x in w]))

@@ -17,10 +17,12 @@ from .errors import DegenerateDual, DiscforgeError, NotInSpan, ParseError
 
 
 class IntMatrix:
-    """Immutable rectangular integer matrix.
+    """Rectangular integer matrix.
 
-    ``IntMatrix(rows)`` is the input boundary and checks every entry and
-    row length; ``IntMatrix._of`` wraps rows computed here unchecked.
+    ``data`` is not changed after construction, because equality and hash
+    read it.  ``IntMatrix(rows)`` is the input boundary and checks every
+    entry and row length; ``IntMatrix._of`` wraps rows computed here
+    unchecked.
     """
 
     __slots__ = ("data",)
@@ -38,14 +40,14 @@ class IntMatrix:
             elif len(tup) != width:
                 raise ParseError("matrix rows have unequal lengths")
             data.append(tup)
-        object.__setattr__(self, "data", tuple(data))
+        self.data = tuple(data)
 
     @classmethod
     def _of(cls, data: tuple) -> "IntMatrix":
         """The matrix on ``data``, a tuple of equal-length tuples of ints,
         taken as it is."""
         m = object.__new__(cls)
-        object.__setattr__(m, "data", data)
+        m.data = data
         return m
 
     @property
@@ -254,47 +256,44 @@ def lattice_index(c: IntMatrix) -> int:
     return prod(row[j] for j, row in enumerate(h.data))
 
 
-def _hermite_coords(m: IntMatrix, target):
-    """Hermite transform U of m, and the rational coordinates y with
-    y*H = target in the nonzero rows of H = U*M, or None off their span."""
-    target = tuple(target)
-    if len(target) != m.cols:
+def smallest_multiplier(rows: IntMatrix, w) -> tuple[int, tuple[int, ...]]:
+    """Least q >= 1 with q*w in the integer row span of ``rows``, and the
+    integer row combination x with x*rows = q*w.
+
+    One Hermite solve: the nonzero rows of H = U*rows are independent, so
+    w has unique rational coordinates y in them, q is the lcm of their
+    denominators and x = (q*y)*U.  Any other integer solution differs from
+    x by an element of the left kernel of ``rows``.  Raises NotInSpan when
+    w is outside the rational row span.
+    """
+    t = [Fraction(x) for x in w]
+    if len(t) != rows.cols:
         raise ValueError("target length does not match matrix width")
-    h, u = row_hermite_transform(m)
-    t = [Fraction(x) for x in target]
+    h, u = row_hermite_transform(rows)
     y = []
     for j, c in enumerate(_pivot_columns(h)):
-        q = t[c] / h.row(j)[c]
-        y.append(q)
-        if q:
-            t = [x - q * v for x, v in zip(t, h.row(j))]
-    return u, (None if any(t) else y)
+        coord = t[c] / h.row(j)[c]
+        y.append(coord)
+        if coord:
+            t = [x - coord * v for x, v in zip(t, h.row(j))]
+    if any(t):
+        raise NotInSpan("vector lies outside the rational row span")
+    q = lcm(*(coord.denominator for coord in y))
+    x = tuple(
+        sum(int(q * coord) * u.row(j)[k] for j, coord in enumerate(y))
+        for k in range(rows.rows)
+    )
+    return q, x
 
 
 def integer_solve(m: IntMatrix, target) -> tuple[int, ...] | None:
-    """Integer row combination x with x*M = target, or None.
-
-    The returned x is the deterministic solution obtained through the
-    Hermite transform; any other integer solution differs by an element of
-    the left kernel of M.
-    """
-    u, y = _hermite_coords(m, target)
-    if y is None or any(q.denominator != 1 for q in y):
+    """Integer row combination x with x*M = target, or None: the q == 1
+    case of ``smallest_multiplier``."""
+    try:
+        q, x = smallest_multiplier(m, target)
+    except NotInSpan:
         return None
-    return tuple(
-        sum(int(q) * u.row(j)[k] for j, q in enumerate(y)) for k in range(m.rows)
-    )
-
-
-def smallest_multiplier(rows: IntMatrix, w) -> int:
-    """Minimal q >= 1 with q*w in the integer row span of ``rows``.
-
-    Raises NotInSpan when w is outside the rational row span.
-    """
-    _, y = _hermite_coords(rows, w)
-    if y is None:
-        raise NotInSpan("vector lies outside the rational row span")
-    return lcm(*(q.denominator for q in y))
+    return x if q == 1 else None
 
 
 def rational_nullspace(rows) -> list[tuple[int, ...]]:

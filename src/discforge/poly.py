@@ -28,7 +28,11 @@ def _dp_key(e: tuple[int, ...]):
 
 
 class SparsePolynomial:
-    """Immutable sparse polynomial in ``n`` variables over the integers."""
+    """Sparse polynomial in ``n`` variables over the integers.
+
+    ``n`` and ``terms`` are not changed after construction, because
+    equality and hash read them.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -41,11 +45,9 @@ class SparsePolynomial:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"coefficient {c!r} is not an integer")
             if c:
-                clean[e] = clean.get(e, 0) + c
-                if not clean[e]:
-                    del clean[e]
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+                clean[e] = c
+        self.n = n
+        self.terms = clean
 
     # -- constructors -------------------------------------------------
 
@@ -384,8 +386,8 @@ class UniPoly:
                 raise ValueError("coefficients must share the ambient")
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        self.n = n
+        self.coeffs = tuple(coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -399,16 +401,6 @@ class UniPoly:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return SparsePolynomial.zero(self.n)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UniPoly)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.coeffs))
 
     def __repr__(self) -> str:
         return f"UniPoly({self.n}, {list(self.coeffs)!r})"
@@ -444,9 +436,11 @@ def scaled_substitute(f: SparsePolynomial, gamma) -> UniPoly:
 def resultant_u(f: UniPoly, g: UniPoly) -> SparsePolynomial:
     """Sylvester resultant eliminating u.
 
-    Both inputs constant in u raises NoVariable.  Laurent coefficient
-    polynomials are shifted into the polynomial ring first, which changes
-    the result by a monomial factor only.
+    The coefficients must be polynomials, not Laurent polynomials: the
+    determinant is a fraction-free elimination, and ``exact_quotient``
+    needs non-Laurent operands.  A side of degree 0 in u needs no special
+    case, since the Sylvester matrix is then c*I and its determinant c^d.
+    Both inputs constant in u raises NoVariable.
     """
     if f.n != g.n:
         raise ValueError("ambient mismatch")
@@ -456,24 +450,6 @@ def resultant_u(f: UniPoly, g: UniPoly) -> SparsePolynomial:
     df, dg = f.degree(), g.degree()
     if df == 0 and dg == 0:
         raise NoVariable("both resultant arguments are constant in u")
-
-    def unlaurent(p: UniPoly) -> UniPoly:
-        mins = [0] * n
-        for c in p.coeffs:
-            for e in c.terms:
-                for i, k in enumerate(e):
-                    mins[i] = min(mins[i], k)
-        if not any(mins):
-            return p
-        shift = tuple(-v for v in mins)
-        return UniPoly(n, [c.shift(shift) for c in p.coeffs])
-
-    f = unlaurent(f)
-    g = unlaurent(g)
-    if dg == 0:
-        return g.coeff(0) ** df
-    if df == 0:
-        return f.coeff(0) ** dg
     size = df + dg
     zero = SparsePolynomial.zero(n)
     rows = []

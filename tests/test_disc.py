@@ -118,6 +118,17 @@ def test_implicitize_preconditions():
         horn_implicitize_rank2(GaleConfiguration([[1], [-2], [1]]))
     with pytest.raises(NonPrimitive):
         horn_implicitize_rank2(GaleConfiguration([[2, 0], [0, 1], [-2, -1]]))
+    with pytest.raises(NonPrimitive, match="pullback"):
+        pullback(
+            SparsePolynomial.variable(2, 0),
+            GaleConfiguration([[2, 0], [0, 1], [-2, -1]]),
+        )
+    with pytest.raises(NotHomogeneous):
+        horn_implicitize_rank2(GaleConfiguration([[1, 0], [0, 1], [-1, -1], [1, 1]]))
+    with pytest.raises(PyramidInput):
+        horn_implicitize_rank2(GaleConfiguration([[1, 0], [0, 1], [-1, -1], [0, 0]]))
+    with pytest.raises(DegenerateDual):
+        horn_implicitize_rank2(GaleConfiguration([[1, 0], [2, 0], [-3, 0]]))
     with pytest.raises(KernelDimensionNotOne):
         horn_implicitize_rank2(
             GaleConfiguration([[1, 0], [-1, 0], [0, 1], [0, -1]])
@@ -207,6 +218,36 @@ def test_glue_split_validation(seven_point_b):
         )
     with pytest.raises(ValueError):
         glue_resultant(two, two, sharp, ((0, 1, 2, 3, 7), (4, 5, 6, 8)))
+    with pytest.raises(InconsistentSplit, match="nonzero rows"):
+        glue_resultant(
+            two,
+            two,
+            GaleConfiguration(list(seven_point_b.rows()) + [[0, 0]]),
+            ((0, 1, 2, 3), (4, 5, 6, 7)),
+        )
+    with pytest.raises(InconsistentSplit, match="full codimension"):
+        glue_resultant(two, one, sharp, ((4, 5, 6, 8), (0, 1, 2, 3, 7)))
+    with pytest.raises(InconsistentSplit, match="homogeneous"):
+        glue_resultant(
+            two,
+            SparsePolynomial.constant(3, 1),
+            seven_point_b,
+            ((0, 1, 2, 3), (4, 5, 6)),
+        )
+
+
+def test_glue_is_blind_to_monomial_and_constant_factors(seven_point_b):
+    # the factors are normalized before the resultant, so a Laurent
+    # monomial or a constant on either one leaves the glued polynomial
+    sharp = extend_plus_minus(seven_point_b, (2, 0))
+    split = ((0, 1, 2, 3, 7), (4, 5, 6, 8))
+    inner = discriminant(GaleConfiguration([sharp.row(i) for i in split[0]])).poly
+    d2 = _codim1_raw([1, 3, -2, -2])
+    plain = glue_resultant(inner, d2, sharp, split)
+    scaled = glue_resultant(
+        inner.shift((-2, 1, 0, -1, 0)) * 3, d2.shift((0, -1, 0, 0)) * -5, sharp, split
+    )
+    assert scaled == plain
 
 
 def test_splitting_line_branch():
@@ -273,6 +314,11 @@ def test_unsupported_routes():
         discriminant(GaleConfiguration([[2, 0], [0, 1], [-2, -1]]))
     with pytest.raises(DegenerateDual):
         discriminant(GaleConfiguration([[1, 0], [-1, 0], [2, 0], [-2, 0]]))
+    # the two seeded strata the benchmark's rank2 workload counts as refused
+    with pytest.raises(Unsupported, match="inner configuration has index 2"):
+        discriminant(GaleConfiguration([[2, 3], [-3, -8], [0, 2], [-1, 0], [2, 3]]))
+    with pytest.raises(NonPrimitive, match="class content 2"):
+        discriminant(GaleConfiguration([[-1, -1], [0, 4], [-1, 0], [0, -2], [2, -1]]))
     with pytest.raises(NotHomogeneous):
         discriminant(GaleConfiguration([[1, 0], [0, 1]]))
     with pytest.raises(NotHomogeneous) as on_a:
@@ -358,6 +404,13 @@ def test_checkers_refuse_before_the_discriminant(monkeypatch, capsys, seven_poin
     b6 = GaleConfiguration([[1, 0], [-2, 1], [1, -2], [0, 1], [1, -1], [-1, 1]])
     with pytest.raises(SplittingLine):
         check_specialization(b6, 4)
+    pyramid = GaleConfiguration([[1, 0], [0, 1], [-1, -1], [0, 0]])
+    with pytest.raises(SplittingLine, match="zero dual vector"):
+        check_specialization(pyramid, 3)
+    with pytest.raises(NotPositiveMultiple, match="zero dual vectors"):
+        check_restriction_grouping(pyramid, 3, 0)
+    with pytest.raises(NotPositiveMultiple, match="zero dual vectors"):
+        check_restriction_grouping(pyramid, 0, 3)
     with pytest.raises(AssertionError):
         check_restriction_grouping(seven_point_b, 2, 2)
     with pytest.raises(AssertionError):

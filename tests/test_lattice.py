@@ -257,9 +257,13 @@ def test_integer_solve():
 
 
 def test_smallest_multiplier():
-    rows = IntMatrix([[0, 1], [-3, 1], [2, -3], [-1, 1], [2, 0]])
-    assert smallest_multiplier(rows, (1, 0)) == 1
-    assert smallest_multiplier(IntMatrix([[2, 0], [0, 1]]), (1, 0)) == 2
+    for rows, w, least in (
+        (IntMatrix([[0, 1], [-3, 1], [2, -3], [-1, 1], [2, 0]]), (1, 0), 1),
+        (IntMatrix([[2, 0], [0, 1]]), (1, 0), 2),
+    ):
+        q, x = smallest_multiplier(rows, w)
+        assert q == least
+        assert x == integer_solve(rows, tuple(q * v for v in w))
     with pytest.raises(NotInSpan):
         smallest_multiplier(IntMatrix([[1, 0]]), (0, 1))
 
