@@ -264,7 +264,8 @@ def _zero_sum_parts(kernel, n: int):
     vector of the row space that is 1 at c_k for k in S and 0 at the
     other c_k.  The subsets are walked in Gray-code order, one vector
     added or subtracted each, and a sum whose entries are all 0 or top
-    is a part P.
+    is a part P.  At each c_k the sum is top or 0 by construction, so
+    only the m other columns are summed and tested.
 
     A relation among the rows of P is a vector of ker B^T that vanishes
     off P.  It vanishes at each c_k off P, so it is a combination of the
@@ -277,25 +278,35 @@ def _zero_sum_parts(kernel, n: int):
     alone = [j for j, col in enumerate(zip(*kernel)) if sum(map(bool, col)) == 1]
     ends = [next((j, v[j]) for j in alone if v[j]) for v in kernel]
     top = lcm(*(e for _, e in ends))
-    steps = [[top // e * x for x in v] for v, (_, e) in zip(kernel, ends)]
     basis = {c for c, _ in ends}
     others = [j for j in range(n) if j not in basis]
+    steps = [[top // e * v[j] for j in others] for v, (_, e) in zip(kernel, ends)]
     back = [[-x for x in step] for step in steps]
-    u = [0] * n
+    u = [0] * len(others)
+    mask = 0
     parts = {}
     for t in range(1, 1 << d):
         k = (t & -t).bit_length() - 1
         gray = t ^ t >> 1
         u = list(map(add, u, steps[k] if gray >> k & 1 else back[k]))
-        if u.count(0) + u.count(top) == n:
+        mask ^= 1 << ends[k][0]
+        if all(not x or x == top for x in u):
             if len(parts) == MAX_PARTS:
                 return None
-            off = [j for j in others if not u[j]]
-            s = [[steps[i][j] for j in off] for i in range(d) if gray >> i & 1]
-            size = u.count(top)
-            parts[sum(1 << i for i, x in enumerate(u) if x)] = (
-                size - len(s) + bareiss(s)[0] - 1
-            )
+            # rank P = its other columns + the rank of S on those off P
+            part, rank_p, off = mask, 0, []
+            for i, (j, x) in enumerate(zip(others, u)):
+                if x:
+                    part |= 1 << j
+                    rank_p += 1
+                else:
+                    off.append(i)
+            # one vector is zero where its sum is, and with no column off
+            # P there is nothing to rank
+            s = [steps[i] for i in range(d) if gray >> i & 1]
+            if len(s) > 1 and off:
+                rank_p += bareiss([[step[i] for i in off] for step in s])[0]
+            parts[part] = rank_p - 1
     return parts
 
 

@@ -523,9 +523,9 @@ def check_specialization(cfg, j: int, line=None) -> bool:
     if betas[cls.index(j)] * total < 0:
         raise NotPositiveMultiple("b_j lies on the negative side of its line")
     result = discriminant(b)
-    h, u = row_hermite_transform(IntMatrix([[x] for x in w]))
-    if h.row(0)[0] != 1:
-        raise DiscforgeError("primitive direction must reduce to gcd 1")
+    # w is primitive, so the Hermite form of its column is (1, 0, ..., 0)
+    # and rows 1.. of u project along w
+    _, u = row_hermite_transform(IntMatrix([[x] for x in w]))
     proj_rows = []
     keep = [i for i in range(n) if i not in cls]
     for i in keep:

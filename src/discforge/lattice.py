@@ -299,19 +299,24 @@ def integer_solve(m: IntMatrix, target) -> tuple[int, ...] | None:
 def rational_nullspace(rows) -> list[tuple[int, ...]]:
     """Basis of the rational nullspace {v : M v = 0} of a matrix.
 
-    Accepts any nested iterable of ints or Fractions; each row is scaled
-    to integers by the lcm of its denominators and eliminated by
-    ``bareiss``.  For each free column f, v[f] is the last pivot d, the
-    other free coordinates are 0, and back-substitution fills the pivot
-    coordinates: by Cramer's rule each is a minor of the integer matrix,
-    so every division is exact.  Returned vectors are primitive integer
-    vectors, positive in their free coordinate.
+    Accepts any nested iterable of ints or Fractions; a row of ints is
+    taken as it is, and any other row is scaled to integers by the lcm
+    of its denominators.  The rows are eliminated by ``bareiss``.  For
+    each free column f, v[f] is the last pivot d, the other free
+    coordinates are 0, and back-substitution fills the pivot coordinates
+    from the last row up: by Cramer's rule each is a minor of the integer
+    matrix, so every division is exact.  Each row's sum runs over the
+    coordinates already nonzero, which gives the full sum because an
+    echelon row is zero left of its pivot.  Returned vectors are
+    primitive integer vectors, positive in their free coordinate.
     """
     a = []
     for row in rows:
         row = list(row)
-        mult = lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (mult // x.denominator) for x in row])
+        if not all(type(x) is int for x in row):
+            mult = lcm(*(x.denominator for x in row))
+            row = [x.numerator * (mult // x.denominator) for x in row]
+        a.append(row)
     if not a:
         return []
     nc = len(a[0])
@@ -322,14 +327,16 @@ def rational_nullspace(rows) -> list[tuple[int, ...]]:
             continue
         v = [0] * nc
         v[f] = d
+        nonzero = [f]
         for k in range(r - 1, -1, -1):
             row = ech[k]
             c = pivots[k]
-            s = -sum(row[j] * v[j] for j in range(c + 1, nc) if v[j])
-            q, rem = divmod(s, row[c])
+            q, rem = divmod(-sum(row[j] * v[j] for j in nonzero), row[c])
             if rem:
                 raise DiscforgeError("nullspace back-substitution is not exact")
-            v[c] = q
+            if q:
+                v[c] = q
+                nonzero.append(c)
         g = gcd(*v) if d > 0 else -gcd(*v)
         basis.append(tuple(x // g for x in v))
     return basis

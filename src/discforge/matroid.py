@@ -50,7 +50,12 @@ def collinear_classes(cfg: GaleConfiguration) -> list[tuple[int, ...]]:
 def reduce(cfg: GaleConfiguration) -> ReduceResult:
     """Drop splitting classes and zero rows; merge each remaining class
     into its member sum.  Output rows are ordered by smallest original
-    member."""
+    member.
+
+    When no splitting class is dropped, the output spans the same space
+    as cfg: each output row is a nonzero multiple of its class's line,
+    and zero rows add nothing.  Its rank is then cfg's, carried over
+    when cfg already knows it, as ``gale_dual`` carries its own."""
     merged: list[tuple[int, ...]] = []
     rows: list[tuple[int, ...]] = []
     removed: list[tuple[int, ...]] = []
@@ -65,6 +70,8 @@ def reduce(cfg: GaleConfiguration) -> ReduceResult:
         IntMatrix._of(tuple(rows)),
         labels=[cfg.labels[cls[0]] for cls in merged] or None,
     )
+    if not removed:
+        config._rank = cfg._rank
     return ReduceResult(
         config=config,
         merged=tuple(merged),
@@ -90,28 +97,31 @@ def closure(cfg: GaleConfiguration, indices) -> Flat:
     )
 
 
-def walk_covers(cfg: GaleConfiguration, memo: dict, flat: Flat) -> list[Flat]:
-    """The flats one rank above ``flat`` that contain it, ordered by
-    index tuple: the parallel classes of the contraction by the flat,
-    each joined with the flat.  Each row outside the flat is reduced
-    against the flat's echelon basis, and rows whose residuals agree
-    lie in one cover.  One ``memo`` serves a whole walk of the lattice
-    of flats, and ``{}`` a single call.
+def walk_covers(cfg: GaleConfiguration, memo: dict, flat: Flat):
+    """The flats one rank above ``flat`` that contain it, in order of
+    smallest new member, made on demand: the parallel classes of the
+    contraction by the flat, each joined with the flat.  Each row outside
+    the flat is reduced against the flat's echelon basis, and rows whose
+    residuals agree lie in one cover.  One ``memo`` serves a whole walk
+    of the lattice of flats, and ``{}`` a single call.
 
     ``memo`` maps the key of each flat met so far, the int with bit i
-    set for each member row i, to [flat, (rows, new), covers].  ``rows``
+    set for each member row i, to [flat, rows, new, classes].  ``rows``
     pairs each row index with its residual row, in ``lattice.primitive``
     form, against the basis of the flat that first reached this one, and
     ``new`` is the residual of this flat's new members, which extends
     that basis to this flat's, or None when ``rows`` are already reduced
     against this flat's whole basis, as for a flat new to ``memo``.
-    When the flat is expanded, the rows whose residual is ``new`` are
-    dropped and every other row is reduced in place against ``new``
-    alone, by ``lattice.eliminate`` at its first nonzero entry; a
-    residual that is zero there keeps its residual and class key.  A
-    cover's key and sigma are its parent's plus its new members.
-    Rows stay in index order, so the classes, and with them the covers
-    (whose new members are disjoint), come in order of smallest member.
+    ``classes`` is None until the flat is first expanded.  Then the rows
+    whose residual is ``new`` are dropped and every other row is reduced
+    in place against ``new`` alone, by ``lattice.eliminate`` at its first
+    nonzero entry; a residual that is zero there keeps its residual and
+    class key.  ``rows`` becomes those residuals, ``new`` None, and
+    ``classes`` maps each residual to its rows.  A cover's Flat is built
+    once per memo, when an iteration first reaches its class: its key
+    and sigma are its parent's plus its new members.  Rows stay in index
+    order, so the classes, and with them the covers (whose new members
+    are disjoint), come in order of smallest member.
     """
     data = cfg.matrix.data
     key = 0
@@ -121,9 +131,9 @@ def walk_covers(cfg: GaleConfiguration, memo: dict, flat: Flat) -> list[Flat]:
     if node is None:
         base = _basis(cfg, flat.indices)
         rows = [(j, echelon_extend(base, data[j])[-1][1]) for j in range(cfg.n) if not key >> j & 1]
-        node = memo[key] = [flat, (rows, None), None]
-    if node[2] is None:
-        rows, new = node[1]
+        node = memo[key] = [flat, rows, None, None]
+    if node[3] is None:
+        rows, new = node[1], node[2]
         if new is not None:
             parent, rows = rows, []
             p = next(i for i, x in enumerate(new) if x)
@@ -136,22 +146,21 @@ def walk_covers(cfg: GaleConfiguration, memo: dict, flat: Flat) -> list[Flat]:
         classes: dict = {}
         for j, res in rows:
             classes.setdefault(res, []).append(j)
-        covers = []
-        for res, members in classes.items():
-            up = key
+        node[1:] = [rows, None, classes]
+    rows, classes = node[1], node[3]
+    for res, members in classes.items():
+        up = key
+        for j in members:
+            up |= 1 << j
+        child = memo.get(up)
+        if child is None:
+            sigma = flat.sigma
             for j in members:
-                up |= 1 << j
-            child = memo.get(up)
-            if child is None:
-                sigma = flat.sigma
-                for j in members:
-                    sigma = tuple(map(add, sigma, data[j]))
-                indices = tuple(sorted(flat.indices + tuple(members)))
-                cover = Flat(indices=indices, rank=flat.rank + 1, sigma=sigma)
-                child = memo[up] = [cover, (rows, res), None]
-            covers.append(child[0])
-        node[1:] = [None, covers]
-    return node[2]
+                sigma = tuple(map(add, sigma, data[j]))
+            indices = tuple(sorted(flat.indices + tuple(members)))
+            cover = Flat(indices=indices, rank=flat.rank + 1, sigma=sigma)
+            child = memo[up] = [cover, rows, res, None]
+        yield child[0]
 
 
 def flats_by_rank(cfg: GaleConfiguration, top: int) -> list[list[Flat]]:
@@ -237,7 +246,8 @@ def flag_walk(cfg, k, memo, seen, flat, basis, best):
     (rank, flags) pair to beat; ``flags`` are the flats above ``flat``
     of a flag whose sigmas reach that rank.  ``best`` itself is returned
     when no flag through ``flat`` beats it, so a caller sees an
-    improvement by identity.  The walk stops once the rank reaches k.
+    improvement by identity.  The walk stops once the rank reaches k,
+    before ``walk_covers`` makes another cover.
 
     What a walk can still reach from a flat F depends only on F and on
     the span V of the sigmas so far, which lies inside span(F): each
@@ -253,8 +263,6 @@ def flag_walk(cfg, k, memo, seen, flat, basis, best):
     if flat.rank == k:
         return len(basis), ()
     for cover in walk_covers(cfg, memo, flat):
-        if best[0] == k:
-            break
         key = id(cover)
         if key in seen:
             continue
@@ -267,23 +275,27 @@ def flag_walk(cfg, k, memo, seen, flat, basis, best):
             continue
         if cover.rank == k:
             best = len(basis) + grow, (cover,)
-            continue
-        ext = basis
-        if grow:
-            # v is zero at the pivots of basis, so each row keeps its pivot
-            q = next(j for j, x in enumerate(v) if x)
-            v = primitive(v)
-            ext = [(q, v)]
-            for p, row in basis:
-                if row[q]:
-                    row = eliminate(row, q, v)
-                ext.append((p, row))
-            ext = tuple(sorted(ext))
-        state = key if len(ext) == cover.rank else (key, ext)
-        if state in seen:
-            continue
-        seen.add(state)
-        found = flag_walk(cfg, k, memo, seen, cover, ext, best)
-        if found is not best:
+        else:
+            ext = basis
+            if grow:
+                # v is zero at the pivots of basis, so each row keeps its pivot
+                q = next(j for j, x in enumerate(v) if x)
+                v = primitive(v)
+                ext = [(q, v)]
+                for p, row in basis:
+                    if row[q]:
+                        row = eliminate(row, q, v)
+                    ext.append((p, row))
+                ext = tuple(sorted(ext))
+            state = key if len(ext) == cover.rank else (key, ext)
+            if state in seen:
+                continue
+            seen.add(state)
+            found = flag_walk(cfg, k, memo, seen, cover, ext, best)
+            if found is best:
+                continue
             best = found[0], (cover,) + found[1]
+        # a flag of rank k ends the walk before another cover is made
+        if best[0] == k:
+            break
     return best

@@ -438,12 +438,15 @@ def resultant_u(f: UniPoly, g: UniPoly) -> SparsePolynomial:
 
     The coefficients must be polynomials, not Laurent polynomials: the
     determinant is a fraction-free elimination, and ``exact_quotient``
-    needs non-Laurent operands.  A side of degree 0 in u needs no special
-    case, since the Sylvester matrix is then c*I and its determinant c^d.
-    Both inputs constant in u raises NoVariable.
+    needs non-Laurent operands, so a coefficient with a negative exponent
+    raises ValueError whatever the Sylvester size.  A side of degree 0 in
+    u needs no special case, since the Sylvester matrix is then c*I and
+    its determinant c^d.  Both inputs constant in u raises NoVariable.
     """
     if f.n != g.n:
         raise ValueError("ambient mismatch")
+    if any(k < 0 for c in f.coeffs + g.coeffs for e in c.terms for k in e):
+        raise ValueError("resultant coefficients must not be Laurent")
     n = f.n
     if f.is_zero() or g.is_zero():
         return SparsePolynomial.zero(n)

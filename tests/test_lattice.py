@@ -294,6 +294,15 @@ def test_rational_nullspace_refuses_an_inexact_back_substitution(monkeypatch):
         rational_nullspace([[2, 1]])
 
 
+@settings(max_examples=200)
+@given(st.integers(1, 5).flatmap(lambda width: row_sequences(width, 2 * width + 1)))
+def test_int_rows_give_the_nullspace_of_their_fractions(rows):
+    # int rows are eliminated as they are; Fraction rows, here row i
+    # divided by i + 2, which keeps the nullspace, are scaled back first
+    fractions = [[Fraction(x, i + 2) for x in row] for i, row in enumerate(rows)]
+    assert rational_nullspace(rows) == rational_nullspace(fractions)
+
+
 @st.composite
 def nullspace_inputs(draw):
     """Int or Fraction rows: fresh, zero, repeated and dependent rows,

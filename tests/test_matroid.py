@@ -6,7 +6,13 @@ import pytest
 from oracles import oracle_is_nonsplitting_flag
 
 import discforge.matroid
-from discforge.config import GaleConfiguration, cayley, gale_dual, segment
+from discforge.config import (
+    GaleConfiguration,
+    PointConfiguration,
+    cayley,
+    gale_dual,
+    segment,
+)
 from discforge.defect import dual_variety_dim
 from discforge.matroid import (
     Flat,
@@ -111,16 +117,16 @@ def test_flats_of_rank(seven_point_b):
 
 def test_covering_flats(seven_point_b):
     bottom = closure(seven_point_b, ())
-    assert walk_covers(seven_point_b, {}, bottom) == flats_of_rank(seven_point_b, 1)
+    assert list(walk_covers(seven_point_b, {}, bottom)) == flats_of_rank(seven_point_b, 1)
     line = closure(seven_point_b, [4])
     top = closure(seven_point_b, [0, 4])
-    assert walk_covers(seven_point_b, {}, line) == [top]
-    assert walk_covers(seven_point_b, {}, top) == []
+    assert list(walk_covers(seven_point_b, {}, line)) == [top]
+    assert list(walk_covers(seven_point_b, {}, top)) == []
 
 
 def test_covering_flats_carry_zero_rows():
     b = GaleConfiguration([[1, 0], [0, 0], [-1, 0], [0, 1], [2, 1]])
-    covers = walk_covers(b, {}, closure(b, ()))
+    covers = list(walk_covers(b, {}, closure(b, ())))
     assert [fl.indices for fl in covers] == [(0, 1, 2), (1, 3), (1, 4)]
     assert all(fl.rank == 1 for fl in covers)
 
@@ -180,6 +186,20 @@ def test_walks_reduce_in_place_past_the_root(monkeypatch):
     assert a.n - red.m - 1 + best[0] == 7
     assert calls["echelon_extend"] <= 2 * red.n == 18
     assert calls["walk_covers"] == 209
+
+
+def test_a_generic_flag_search_makes_only_the_flats_it_returns():
+    # ten points on a conic, no three collinear: the dual's matroid is
+    # uniform of rank 7, so the first cover at each rank extends the flag.
+    # Covers are made on demand, so the memo holds the root and the six
+    # flats of the flag; making every cover of each flat would give 46
+    a = PointConfiguration([[1] * 10, list(range(10)), [t * t for t in range(10)]])
+    b = gale_dual(a)
+    memo: dict = {}
+    best = flag_walk(b, b.m - 1, memo, set(), closure(b, ()), (), (b.m - 2, ()))
+    assert best[1] == find_nonsplitting_flag(b, b.m - 1)
+    assert [fl.indices for fl in best[1]] == [tuple(range(k)) for k in range(1, 7)]
+    assert len(memo) == 7
 
 
 def test_is_nonsplitting_flag(seven_point_b):

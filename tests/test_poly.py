@@ -175,6 +175,18 @@ def test_resultant_constants_in_x():
         resultant_u(UniPoly(1, [c(1, 2)]), UniPoly(1, [c(1, 5)]))
 
 
+def test_resultant_refuses_laurent_coefficients():
+    x_inv = SparsePolynomial(1, {(-1,): 1})
+    one = SparsePolynomial.constant(1, 1)
+    g = UniPoly(1, [one, one])
+    # a Sylvester matrix of size 2 and one of size 1 are refused alike
+    for f in (UniPoly(1, [x_inv, one]), UniPoly(1, [x_inv])):
+        with pytest.raises(ValueError, match="Laurent"):
+            resultant_u(f, g)
+        with pytest.raises(ValueError, match="Laurent"):
+            resultant_u(g, f)
+
+
 def test_resultant_shared_root_vanishes():
     c = SparsePolynomial.constant
     # u^2 - 1 and u - 1 share u = 1

@@ -91,8 +91,8 @@ def _agree_flats(b: GaleConfiguration) -> None:
             )
             distinct = {c.indices: c for c in closures}
             covers = [distinct[key] for key in sorted(distinct)]
-            assert walk_covers(b, memo, fl) == covers
-            assert walk_covers(b, {}, fl) == covers
+            assert list(walk_covers(b, memo, fl)) == covers
+            assert list(walk_covers(b, {}, fl)) == covers
 
 
 def _agree_jacobian(a: PointConfiguration) -> None:
@@ -347,6 +347,20 @@ def dual_rows(draw, least_m=1):
 
 @settings(max_examples=150, deadline=None)
 @given(dual_rows())
+def test_a_reduction_without_splitting_classes_carries_its_rank(rows):
+    # a rank that B has not worked out is not carried either
+    b = GaleConfiguration(rows)
+    assert reduce(b).config._rank is None
+    known = b.rank
+    red = reduce(b)
+    if red.removed_splitting:
+        assert red.config._rank is None
+    else:
+        assert red.config._rank == rank(red.config.matrix) == known
+
+
+@settings(max_examples=150, deadline=None)
+@given(dual_rows())
 def test_reduced_dimension_walk_matches_unreduced_walk_and_jacobian(rows):
     b = GaleConfiguration(rows)
     assume(b.rank == b.m)
@@ -466,7 +480,7 @@ def test_covers_come_out_in_index_order(rows):
     memo: dict = {}
     for level in flats_by_rank(b, b.m - 1):
         for fl in level:
-            covers = walk_covers(b, memo, fl)
+            covers = list(walk_covers(b, memo, fl))
             assert covers == sorted(covers, key=lambda cover: cover.indices)
 
 
