@@ -34,7 +34,7 @@ from .lattice import IntMatrix, lattice_index
 
 
 def _load_matrix(args) -> IntMatrix:
-    if getattr(args, "matrix", None) is not None:
+    if args.matrix is not None:
         raw = args.matrix
     else:
         try:
@@ -98,28 +98,23 @@ def _one_based(witness: dict) -> dict:
     return out
 
 
-def _emit(args, obj, text: str) -> None:
-    if args.format == "text":
-        print(text)
-    else:
-        print(json.dumps(obj))
+def _matrix_out(m: IntMatrix):
+    """A matrix as its JSON object and as rows of space-separated entries."""
+    return {"matrix": m.to_lists()}, "\n".join(" ".join(str(x) for x in row) for row in m.data)
 
 
-def _matrix_text(m: IntMatrix) -> str:
-    return "\n".join(" ".join(str(x) for x in row) for row in m.data)
+def _verdict(key: str, value: bool):
+    return {key: value}, str(value).lower()
 
 
-# -- subcommand bodies ---------------------------------------------------
+# -- subcommand bodies: each returns its output as (JSON object, text) -----
 
 
-def cmd_gale(args) -> int:
-    a = PointConfiguration(_load_matrix(args))
-    b = gale_dual(a)
-    _emit(args, {"matrix": b.matrix.to_lists()}, _matrix_text(b.matrix))
-    return 0
+def cmd_gale(args):
+    return _matrix_out(gale_dual(PointConfiguration(_load_matrix(args))).matrix)
 
 
-def cmd_dual(args) -> int:
+def cmd_dual(args):
     b = GaleConfiguration(_load_matrix(args))
     if b.zero_rows():
         rows = ", ".join(str(i + 1) for i in b.zero_rows())
@@ -127,31 +122,26 @@ def cmd_dual(args) -> int:
     a = dual_of(b)
     if b.is_homogeneous():
         a = standard_form(a)
-    _emit(args, {"matrix": a.matrix.to_lists()}, _matrix_text(a.matrix))
-    return 0
+    return _matrix_out(a.matrix)
 
 
-def cmd_index(args) -> int:
+def cmd_index(args):
     q = lattice_index(_load_matrix(args))
-    _emit(args, {"index": q}, str(q))
-    return 0
+    return {"index": q}, str(q)
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args):
     from .matroid import reduce as reduce_config
 
     res = reduce_config(gale_side(_config(args)))
-    obj = {
-        "matrix": res.config.matrix.to_lists(),
-        "merged": [[i + 1 for i in cls] for cls in res.merged],
-        "removed_splitting": [[i + 1 for i in cls] for cls in res.removed_splitting],
-        "removed_zero": [i + 1 for i in res.removed_zero],
-    }
-    _emit(args, obj, _matrix_text(res.config.matrix))
-    return 0
+    obj, text = _matrix_out(res.config.matrix)
+    obj["merged"] = [[i + 1 for i in cls] for cls in res.merged]
+    obj["removed_splitting"] = [[i + 1 for i in cls] for cls in res.removed_splitting]
+    obj["removed_zero"] = [i + 1 for i in res.removed_zero]
+    return obj, text
 
 
-def cmd_defect(args) -> int:
+def cmd_defect(args):
     from .defect import dual_variety_dim, is_dual_defect
 
     b = gale_side(_config(args))
@@ -171,24 +161,20 @@ def cmd_defect(args) -> int:
         "dual_dim": dim,
         "method": report.method,
     }
-    _emit(
-        args,
-        obj,
+    return obj, (
         f"defect={str(report.defect).lower()} method={report.method} "
-        f"dual_dim={dim if dim is not None else 'unknown'}",
+        f"dual_dim={dim if dim is not None else 'unknown'}"
     )
-    return 0
 
 
-def cmd_dualdim(args) -> int:
+def cmd_dualdim(args):
     from .defect import dual_variety_dim
 
     dim = dual_variety_dim(_config(args))
-    _emit(args, {"dual_dim": dim}, str(dim))
-    return 0
+    return {"dual_dim": dim}, str(dim)
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args):
     from .defect import rho_bound
 
     rep = rho_bound(_config(args))
@@ -199,16 +185,13 @@ def cmd_decompose(args) -> int:
         "m": rep.m,
         "sufficient_defect": rep.sufficient_defect,
     }
-    _emit(
-        args,
-        obj,
+    return obj, (
         f"rho={rep.rho} ranks={list(rep.ranks)} "
-        f"sufficient_defect={str(rep.sufficient_defect).lower()}",
+        f"sufficient_defect={str(rep.sufficient_defect).lower()}"
     )
-    return 0
 
 
-def cmd_discriminant(args) -> int:
+def cmd_discriminant(args):
     from .disc import discriminant
     from .poly import poly_to_json_dict
 
@@ -216,64 +199,67 @@ def cmd_discriminant(args) -> int:
     obj = poly_to_json_dict(result.poly, result.names)
     if args.trace:
         obj["provenance"] = result.provenance
-    _emit(args, obj, result.poly.format(result.names))
-    return 0
+    return obj, result.poly.format(result.names)
 
 
-def cmd_member(args) -> int:
+def cmd_member(args):
     from .disc import membership
 
     point = _parse_point(args.point)
-    verdict = membership(_config(args), point)
-    _emit(args, {"member": verdict}, str(verdict).lower())
-    return 0
+    return _verdict("member", membership(_config(args), point))
 
 
-def cmd_cayley(args) -> int:
+def cmd_cayley(args):
     try:
         lengths = [int(x) for x in args.lengths.split(",") if x.strip()]
     except ValueError as exc:
         raise ParseError(f"bad length list {args.lengths!r}") from exc
     if not lengths:
         raise ParseError("need at least one segment length")
-    cfg = cayley([segment(p) for p in lengths])
-    _emit(args, {"matrix": cfg.matrix.to_lists()}, _matrix_text(cfg.matrix))
-    return 0
+    return _matrix_out(cayley([segment(p) for p in lengths]).matrix)
 
 
-def cmd_check_specialization(args) -> int:
+def cmd_check_specialization(args):
     from .disc import check_specialization
 
-    holds = check_specialization(_config(args), args.j - 1)
-    _emit(args, {"holds": holds}, str(holds).lower())
-    return 0
+    return _verdict("holds", check_specialization(_config(args), args.j - 1))
 
 
-def cmd_check_grouping(args) -> int:
+def cmd_check_grouping(args):
     from .disc import check_restriction_grouping
 
-    holds = check_restriction_grouping(_config(args), args.k - 1, args.l - 1)
-    _emit(args, {"holds": holds}, str(holds).lower())
-    return 0
+    return _verdict("holds", check_restriction_grouping(_config(args), args.k - 1, args.l - 1))
 
 
 # -- parser --------------------------------------------------------------
 
+_INDEX = {"type": int, "required": True, "help": "1-based point index"}
 
-def _add_matrix_opts(p: argparse.ArgumentParser) -> None:
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--matrix", help="inline JSON matrix [[...],...]")
-    grp.add_argument("--file", help="path to a JSON matrix file")
-
-
-def _add_side_opt(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--side",
-        choices=["a", "b"],
-        default="a",
-        help="whether the matrix is the point side (a, d x n) or the "
-        "dual side (b, n x m); default a",
-    )
+# name, help, body, input and extra arguments of every subcommand.  The
+# input "side" is --matrix/--file with --side, "matrix" is --matrix/--file
+# alone, None is no matrix.
+SUBCOMMANDS = (
+    ("gale", "Gale dual of a point configuration", cmd_gale, "matrix", {}),
+    ("dual", "point configuration dual to a vector configuration", cmd_dual, "matrix", {}),
+    ("index", "gcd of the maximal minors of a dual matrix", cmd_index, "matrix", {}),
+    ("reduce", "merge collinear classes, drop splitting lines", cmd_reduce, "side", {}),
+    ("defect", "dual-defect classification with witness", cmd_defect, "side", {}),
+    ("dualdim", "dimension of the dual variety", cmd_dualdim, "side", {}),
+    ("decompose", "least zero-sum partition and rho", cmd_decompose, "side", {}),
+    ("discriminant", "discriminant polynomial", cmd_discriminant, "side",
+     {"--trace": {"action": "store_true", "help": "include the derivation trace"}}),
+    ("member", "does a torus point lie on the discriminant", cmd_member, "side",
+     {"--point": {"required": True,
+                  "help": 'JSON list of coordinates, integers or "p/q" strings'}}),
+    ("cayley", "Cayley configuration of segments", cmd_cayley, None,
+     {"lengths": {"help": 'comma-separated segment lengths, e.g. "1,1,2"'}}),
+    ("check-specialization",
+     "does the off-line subdiscriminant divide the face restriction",
+     cmd_check_specialization, "side", {"--j": _INDEX}),
+    ("check-grouping",
+     "equality of face restrictions for positively collinear dual vectors",
+     cmd_check_grouping, "side", {"--k": _INDEX, "--l": _INDEX}),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,78 +280,23 @@ def build_parser() -> argparse.ArgumentParser:
         f"(also via {SIZE_BOUND_ENV})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gale", help="Gale dual of a point configuration")
-    _add_matrix_opts(p)
-    p.set_defaults(func=cmd_gale)
-
-    p = sub.add_parser("dual", help="point configuration dual to a vector configuration")
-    _add_matrix_opts(p)
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("index", help="gcd of the maximal minors of a dual matrix")
-    _add_matrix_opts(p)
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("reduce", help="merge collinear classes, drop splitting lines")
-    _add_matrix_opts(p)
-    _add_side_opt(p)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("defect", help="dual-defect classification with witness")
-    _add_matrix_opts(p)
-    _add_side_opt(p)
-    p.set_defaults(func=cmd_defect)
-
-    p = sub.add_parser("dualdim", help="dimension of the dual variety")
-    _add_matrix_opts(p)
-    _add_side_opt(p)
-    p.set_defaults(func=cmd_dualdim)
-
-    p = sub.add_parser("decompose", help="least zero-sum partition and rho")
-    _add_matrix_opts(p)
-    _add_side_opt(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("discriminant", help="discriminant polynomial")
-    _add_matrix_opts(p)
-    _add_side_opt(p)
-    p.add_argument("--trace", action="store_true", help="include the derivation trace")
-    p.set_defaults(func=cmd_discriminant)
-
-    p = sub.add_parser("member", help="does a torus point lie on the discriminant")
-    _add_matrix_opts(p)
-    _add_side_opt(p)
-    p.add_argument(
-        "--point",
-        required=True,
-        help='JSON list of coordinates, integers or "p/q" strings',
-    )
-    p.set_defaults(func=cmd_member)
-
-    p = sub.add_parser("cayley", help="Cayley configuration of segments")
-    p.add_argument("lengths", help='comma-separated segment lengths, e.g. "1,1,2"')
-    p.set_defaults(func=cmd_cayley)
-
-    p = sub.add_parser(
-        "check-specialization",
-        help="does the off-line subdiscriminant divide the face restriction",
-    )
-    _add_matrix_opts(p)
-    _add_side_opt(p)
-    p.add_argument("--j", type=int, required=True, help="1-based point index")
-    p.set_defaults(func=cmd_check_specialization)
-
-    p = sub.add_parser(
-        "check-grouping",
-        help="equality of face restrictions for positively collinear dual vectors",
-    )
-    _add_matrix_opts(p)
-    _add_side_opt(p)
-    p.add_argument("--k", type=int, required=True, help="1-based point index")
-    p.add_argument("--l", type=int, required=True, help="1-based point index")
-    p.set_defaults(func=cmd_check_grouping)
-
+    for name, help_, body, source, extra in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_)
+        if source is not None:
+            grp = p.add_mutually_exclusive_group(required=True)
+            grp.add_argument("--matrix", help="inline JSON matrix [[...],...]")
+            grp.add_argument("--file", help="path to a JSON matrix file")
+        if source == "side":
+            p.add_argument(
+                "--side",
+                choices=["a", "b"],
+                default="a",
+                help="whether the matrix is the point side (a, d x n) or the "
+                "dual side (b, n x m); default a",
+            )
+        for flag, kwargs in extra.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=body)
     return parser
 
 
@@ -381,7 +312,9 @@ def main(argv=None) -> int:
         # validated up front, so a malformed bound is refused by every
         # subcommand, also those that never enumerate supports
         size_bound()
-        return args.func(args)
+        obj, text = args.func(args)
+        print(text if args.format == "text" else json.dumps(obj))
+        return 0
     except DiscforgeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

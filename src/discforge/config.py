@@ -14,7 +14,6 @@ import os
 
 from .errors import (
     DegenerateDual,
-    DiscforgeError,
     DuplicatePoint,
     NotHomogeneous,
     ParseError,
@@ -240,16 +239,15 @@ def standard_form(cfg: PointConfiguration) -> PointConfiguration:
     """Equivalent configuration whose first row is all ones.
 
     Requires homogeneity.  The remaining rows are the trailing rows of the
-    Hermite basis of the saturated row lattice, so the output is canonical
-    for the rational row span.
+    Hermite basis H of the saturated row lattice, so the output is canonical
+    for the rational row span.  H is saturated, so (1,...,1) is an integer
+    combination of its rows exactly when it is in that span; only H's first
+    row is nonzero in column 0, with a pivot dividing 1, so it is taken once.
     """
-    if not is_homogeneous(cfg):
-        raise NotHomogeneous("(1,...,1) is not in the rational row span")
     h = saturated_row_basis(cfg)
     ones = (1,) * cfg.n
-    combo = integer_solve(h, ones)
-    if combo is None or combo[0] != 1:
-        raise DiscforgeError("all-ones vector must load the first Hermite row once")
+    if integer_solve(h, ones) is None:
+        raise NotHomogeneous("(1,...,1) is not in the rational row span")
     rows = [ones] + [h.row(i) for i in range(1, h.rows)]
     return PointConfiguration(IntMatrix(rows), labels=cfg.labels)
 

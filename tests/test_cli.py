@@ -354,6 +354,14 @@ def test_parse_errors(capsys):
         rc, out, err = run(capsys, ["discriminant", "--matrix", empty])
         assert rc == 2 and out == ""
         assert "ParseError" in err
+    for argv, message in (
+        (["member", "--matrix", CUBIC, "--point", "3"], "point must be a JSON list"),
+        (["cayley", "1,x"], "bad length list"),
+        (["cayley", ","], "need at least one segment length"),
+    ):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, ""), argv
+        assert message in err, argv
 
 
 def test_deeply_nested_json_is_a_parse_error(capsys):

@@ -125,6 +125,8 @@ def test_gale_configuration_basics():
     assert b.is_homogeneous()
     assert b.zero_rows() == ()
     assert b.rank == 2 and b.index == 1
+    with pytest.raises(ValueError):
+        GaleConfiguration([[1], [-1]], labels=["x1"])
 
 
 def test_pyramid_detection():
@@ -159,6 +161,8 @@ def test_cayley_mixed_lengths():
     assert cfg.n == 5 and cfg.d == 3
     with pytest.raises(ValueError):
         cayley([])
+    with pytest.raises(ValueError):
+        cayley([segment(1), PointConfiguration([[0, 1, 0], [0, 0, 1]])])
 
 
 def test_labels_flow_through_duality():

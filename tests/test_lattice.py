@@ -254,6 +254,8 @@ def test_integer_solve():
     ) == (1, 0)
     # no integer combination of even vectors reaches an odd target
     assert integer_solve(IntMatrix([[2, 0], [0, 2]]), (1, 0)) is None
+    # in the rational span, but only twice the target is an integer combination
+    assert integer_solve(IntMatrix([[2, 0], [0, 1]]), (1, 0)) is None
 
 
 def test_smallest_multiplier():
@@ -266,6 +268,8 @@ def test_smallest_multiplier():
         assert x == integer_solve(rows, tuple(q * v for v in w))
     with pytest.raises(NotInSpan):
         smallest_multiplier(IntMatrix([[1, 0]]), (0, 1))
+    with pytest.raises(ValueError):
+        smallest_multiplier(IntMatrix([[1, 0]]), (1, 0, 0))
 
 
 def test_rational_nullspace_and_clear():

@@ -216,6 +216,11 @@ def test_is_nonsplitting_flag(seven_point_b):
     assert not is_nonsplitting_flag(
         seven_point_b, (Flat(indices=(0,), rank=1, sigma=(1, 1)),)
     )
+    # indices out of order
+    b = GaleConfiguration([[1, 0], [0, 1], [-1, -1], [1, 1], [-1, -1]])
+    line = closure(b, (2,))
+    assert is_nonsplitting_flag(b, (line,))
+    assert not is_nonsplitting_flag(b, (line._replace(indices=(4, 3, 2)),))
 
 
 def test_tampered_flags_are_rejected():
