@@ -3,9 +3,10 @@
 Columns of a point configuration matrix are the points; rows of a Gale
 configuration matrix are the dual vectors.  Duality is always computed
 through saturated kernel lattices so a Gale dual has index 1 and, for a
-homogeneous input, rows summing to zero.  The size bound on support
-enumeration lives here too, so the CLI can check it without loading the
-enumeration.
+homogeneous input, rows summing to zero; only ``gale_pair`` gives a
+rational basis, for callers that read the span alone.  The size bound
+on support enumeration lives here too, so the CLI can check it without
+loading the enumeration.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .lattice import (
     kernel_lattice_basis,
     lattice_index,
     rank,
+    rational_nullspace,
 )
 
 SIZE_BOUND_ENV = "DISCFORGE_SIZE_BOUND"
@@ -209,6 +211,27 @@ def gale_side(cfg) -> GaleConfiguration:
     raise TypeError("expected a point or Gale configuration")
 
 
+def gale_pair(cfg) -> tuple[GaleConfiguration, list]:
+    """A Gale side B of either kind of configuration, and the rows of a
+    basis K of ker B^T, the rational row span of A.
+
+    For a point configuration both come from one elimination: the
+    columns of B are ``rational_nullspace(A)``, of rank m, and K is A
+    itself, which has full row rank.  This B spans ker A over Q but is
+    not the canonical ``gale_dual``; it is for callers whose answers
+    depend only on the column span of B.  A Gale configuration is B
+    itself, and K is ``rational_nullspace(B^T)``.
+    """
+    if isinstance(cfg, PointConfiguration):
+        cols = rational_nullspace(cfg.matrix.data)
+        rows = tuple(tuple(v[i] for v in cols) for i in range(cfg.n))
+        b = GaleConfiguration(IntMatrix._of(rows), labels=cfg.labels)
+        b._rank = len(cols)
+        return b, list(cfg.matrix.data)
+    b = gale_side(cfg)
+    return b, rational_nullspace(zip(*b.rows()))
+
+
 def _orthogonal_basis(b: GaleConfiguration) -> IntMatrix:
     """Canonical basis of the saturated lattice orthogonal to the columns
     of B: all of Z^n, as the identity, when B has no columns."""
@@ -299,6 +322,7 @@ __all__ = [
     "is_homogeneous",
     "gale_dual",
     "gale_side",
+    "gale_pair",
     "dual_of",
     "saturated_row_basis",
     "standard_form",

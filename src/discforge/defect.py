@@ -20,6 +20,7 @@ from .config import (
     GaleConfiguration,
     PointConfiguration,
     cayley,
+    gale_pair,
     gale_side,
     segment,
     size_bound,
@@ -58,10 +59,9 @@ class DefectReport(NamedTuple):
     witness: dict
 
 
-def _validate(cfg) -> GaleConfiguration:
-    """The Gale side B of either side, if homogeneous (ker B^T is the row
-    span of A), no pyramid (n = d leaves B no columns) and of rank m."""
-    b = gale_side(cfg)
+def _validate(b: GaleConfiguration) -> GaleConfiguration:
+    """B itself, if homogeneous (ker B^T is the row span of A), no
+    pyramid (n = d leaves B no columns) and of rank m."""
     if not b.is_homogeneous():
         raise NotHomogeneous("dual rows must sum to zero")
     if b.m == 0 or b.zero_rows():
@@ -93,7 +93,7 @@ def is_dual_defect(cfg) -> DefectReport:
     no such flag exists, so that verdict keeps the search's method name
     "flag-search"; else B is searched once.
     """
-    b = _validate(cfg)
+    b = _validate(gale_side(cfg))
     m = b.m
     if m == 1:
         return DefectReport(
@@ -127,10 +127,8 @@ def is_dual_defect(cfg) -> DefectReport:
                 },
             )
     # rho <= m - 2 bounds the dual dimension by n - 3 (``dual_variety_dim``)
-    parts = None
-    if m >= 5:
-        parts = _zero_sum_parts(rational_nullspace(zip(*b.rows())), b.n)
-    if parts is not None and _least_rho(parts)[(1 << b.n) - 1] <= m - 2:
+    least = _least_partition(red.config) if m >= 5 else None
+    if least is not None and least.rho <= m - 2:
         flag = None
     else:
         flag = find_nonsplitting_flag(b, m - 1)
@@ -159,7 +157,7 @@ def is_dual_defect_exhaustive(cfg) -> bool:
     Used to cross-check the classifier; m = 1 has the empty flag and is
     never defect.
     """
-    b = _validate(cfg)
+    b = _validate(gale_side(cfg))
     return find_nonsplitting_flag(b, b.m - 1) is None
 
 
@@ -218,10 +216,12 @@ def support_lattice(cfg) -> SupportLattice:
     )
 
 
-# Caps of the zero-sum part search: parts are searched over 2^d patterns
-# only for d = n - m up to MAX_PART_BITS, and partitions into them, one
-# state per part, only up to MAX_PARTS parts.  Past either cap
-# ``dual_variety_dim`` walks and ``rho_bound`` raises ``SizeBound``.
+# Caps of the zero-sum part search, which runs on the reduced dual
+# reduce(B) (``_least_partition``): parts are searched over 2^d patterns
+# only for d = n' - rank up to MAX_PART_BITS, n' the reduced row count,
+# and partitions into them, one state per part, only up to MAX_PARTS
+# parts.  Past either cap ``dual_variety_dim`` walks, ``is_dual_defect``
+# searches and ``rho_bound`` raises ``SizeBound``.
 MAX_PART_BITS = 12
 MAX_PARTS = 256
 
@@ -253,8 +253,10 @@ def _jacobian_rank(b: GaleConfiguration, kernel) -> int:
 
 
 def _zero_sum_parts(kernel, n: int):
-    """Each nonempty set P of rows of B that sums to zero, as a bit mask,
-    mapped to rank P - 1; K the rows of ``kernel``; or None past a cap.
+    """Each nonempty set P of the n rows of a vector configuration that
+    sums to zero, as a bit mask, mapped to rank P - 1; K the rows of
+    ``kernel``, a basis of the relations among the rows; or None past a
+    cap.  ``_least_partition`` calls it on the reduced dual.
 
     Such a set's indicator is a 0/1 vector in the row space of K, fixed
     by its values on a column basis.  ``rational_nullspace`` gives each
@@ -330,6 +332,44 @@ def _least_rho(parts) -> dict[int, int]:
     return least
 
 
+class _Least(NamedTuple):
+    """rho, and the ``_zero_sum_parts`` and ``_least_rho`` tables of the
+    reduced dual it was read from."""
+
+    rho: int
+    parts: dict
+    least: dict
+
+
+def _least_partition(red: GaleConfiguration):
+    """The least rho of B, read off red = reduce(B).config, or None past
+    a cap of the part search; B has no zero row.
+
+    rho(B) = rho(red).  Take a least partition of B's rows into zero-sum
+    parts.  Parts Q_1, ..., Q_k that meet one line class each hold a
+    nonzero row on the class's line, so their spans share that line and
+    rank(Q_1 u ... u Q_k) - 1 <= sum(rank Q_i - 1): merging them, into a
+    part that still sums to zero, never raises the sum.  So some least
+    partition keeps every class inside one part.  A splitting class C
+    in a larger part P then splits off as a part of its own, of cost 0:
+    P - C still sums to zero, at no higher rank.  Every other part is a
+    union of whole non-splitting classes, with the rank and the sum of
+    its image in red, whose rows are the class sums.  So rho(red) <=
+    rho(B), and expanding a partition of red's rows into their classes,
+    with each splitting class added as a part of its own, gives
+    rho(B) <= rho(red).
+
+    The part search therefore walks 2^(n' - rank) subsets of red's n'
+    rows, and none when every class splits, as for Cayley configurations
+    of unit segments.
+    """
+    parts = _zero_sum_parts(rational_nullspace(zip(*red.rows())), red.n)
+    if parts is None:
+        return None
+    least = _least_rho(parts)
+    return _Least(least[(1 << red.n) - 1], parts, least)
+
+
 def dual_variety_dim(cfg) -> int:
     """Dimension of the dual variety over flags of flats.
 
@@ -355,7 +395,8 @@ def dual_variety_dim(cfg) -> int:
 
     Upper bound U = n - m - 1 + rho, rho the least sum of (rank P_i - 1)
     over partitions of the rows of B into parts with sigma(P_i) = 0; the
-    whole set is one, so rho <= m - 1.  For any flag of flats F_j:
+    whole set is one, so rho <= m - 1.  It is read off reduce(B)
+    (``_least_partition``).  For any flag of flats F_j:
     - F_j meet P_i is a flat of B restricted to P_i;
     - along the flag these flats rise through ranks 0 ... rank P_i, so
       they take at most rank P_i + 1 distinct values;
@@ -368,16 +409,21 @@ def dual_variety_dim(cfg) -> int:
     L = n - 2, the largest dimension, or L = U is the dimension.
     Otherwise, or past a cap of the part search (``MAX_PART_BITS``,
     ``MAX_PARTS``), the flags of B are walked.
+
+    The flats, their sigma ranks and rho depend only on the column span
+    of B, so on a point configuration B is ``config.gale_pair``'s: one
+    elimination gives it and K is A.  The Jacobian rank at lam0 may
+    depend on the basis, but it only decides whether the walk runs.
     """
-    b = _validate(cfg)
+    b, kernel = gale_pair(cfg)
+    _validate(b)
     _check_size(b)
     n, m = b.n, b.m
-    kernel = rational_nullspace(zip(*b.rows()))
     low = _jacobian_rank(b, kernel) - 1
     if low == n - 2:
         return low
-    parts = _zero_sum_parts(kernel, n)
-    if parts is not None and low == n - m - 1 + _least_rho(parts)[(1 << n) - 1]:
+    least = _least_partition(reduce(b).config)
+    if least is not None and low == n - m - 1 + least.rho:
         return low
     best = flag_walk(b, m - 1, {}, set(), closure(b, ()), (), (-1, ()))
     return n - m - 1 + best[0]
@@ -396,39 +442,45 @@ def rho_bound(cfg) -> RhoReport:
     partitions of the rows of B into parts P_i with sigma(P_i) = 0, and
     one partition that attains it.
 
-    ``parts`` covers every row, so a splitting pair is a rank-1 part of
-    cost 0.  rho <= m - 2 certifies dual defect: the dual variety has
-    dimension at most n - m - 1 + rho (proof in ``dual_variety_dim``).
-    Past a cap of the part search (``MAX_PART_BITS``, ``MAX_PARTS``) it
-    raises ``SizeBound``.
+    The partition is searched on reduce(B) (``_least_partition``) and
+    lifted back to B's rows: each reduced part expanded to its line
+    classes, each splitting class a rank-1 part of cost 0, parts ordered
+    by smallest row.  ``parts`` covers every row.  rho <= m - 2
+    certifies dual defect: the dual variety has dimension at most
+    n - m - 1 + rho (proof in ``dual_variety_dim``).  Past a cap of the
+    part search (``MAX_PART_BITS``, ``MAX_PARTS``), which counts the
+    reduced dual, it raises ``SizeBound``.
     """
-    b = _validate(cfg)
-    kernel = rational_nullspace(zip(*b.rows()))
-    parts = _zero_sum_parts(kernel, b.n)
-    if parts is None:
+    b = _validate(gale_side(cfg))
+    red = reduce(b)
+    found = _least_partition(red.config)
+    if found is None:
         raise SizeBound(
-            f"zero-sum part search limited to n - m <= {MAX_PART_BITS} "
-            f"and at most {MAX_PARTS} parts"
+            f"zero-sum part search of the reduced dual limited to "
+            f"n' - rank <= {MAX_PART_BITS} and at most {MAX_PARTS} parts"
         )
-    least = _least_rho(parts)
-    # walk a least partition back from the whole set, taking at each step
-    # the smallest mask that attains the least sum
-    r, masks = (1 << b.n) - 1, []
+    parts, least = found.parts, found.least
+    # each splitting class is a rank-1 part; walk a least partition of
+    # the reduced rows back from the whole set, taking at each step the
+    # smallest mask that attains the least sum, and expand it to classes
+    lifted = [(cls, 1) for cls in red.removed_splitting]
+    r = (1 << red.config.n) - 1
     while r:
         low = r & -r
         p = min(
             p for p, cost in parts.items()
             if p & low and p & r == p and cost + least[r ^ p] == least[r]
         )
-        masks.append(p)
+        rows = sorted(i for t, cls in enumerate(red.merged) if p >> t & 1 for i in cls)
+        lifted.append((tuple(rows), parts[p] + 1))
         r ^= p
-    rho = least[(1 << b.n) - 1]
+    lifted.sort()
     return RhoReport(
-        parts=tuple(tuple(i for i in range(b.n) if p >> i & 1) for p in masks),
-        ranks=tuple(parts[p] + 1 for p in masks),
-        rho=rho,
+        parts=tuple(p for p, _ in lifted),
+        ranks=tuple(rank for _, rank in lifted),
+        rho=found.rho,
         m=b.m,
-        sufficient_defect=rho <= b.m - 2,
+        sufficient_defect=found.rho <= b.m - 2,
     )
 
 

@@ -1,9 +1,12 @@
 """Defect classification, dual dimension, support lattices, rho bound."""
 
 import gc
+import random
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import discforge.defect
 import discforge.matroid
@@ -28,11 +31,13 @@ from discforge.defect import (
 )
 from discforge.errors import (
     DegenerateDual,
+    DiscforgeError,
     NotHomogeneous,
     ParseError,
     PyramidInput,
     SizeBound,
 )
+from discforge.lattice import primitive
 from discforge.matroid import (
     closure,
     find_nonsplitting_flag,
@@ -164,6 +169,42 @@ def test_the_rho_bound_settles_the_cayley_ladder(parts, monkeypatch):
     assert is_dual_defect(a) == (True, "flag-search", witness)
 
 
+def _with_splitting_pairs(rows, k: int, seed: int) -> GaleConfiguration:
+    """``rows`` plus k pairs v, -v of seeded rows, each on a line of its
+    own, so that each pair is a splitting class."""
+    rng = random.Random(seed)
+    rows = [tuple(r) for r in rows]
+    # ``primitive`` is positive at the first nonzero entry: one key a line
+    lines = {primitive(r) for r in rows}
+    while k:
+        v = tuple(rng.randint(-3, 3) for _ in rows[0])
+        if not any(v) or primitive(v) in lines:
+            continue
+        lines.add(primitive(v))
+        rows += [v, tuple(-x for x in v)]
+        k -= 1
+    return GaleConfiguration(rows)
+
+
+@pytest.mark.parametrize("k", [6, 7, 8, 9])
+def test_splitting_pairs_past_the_unreduced_caps_are_settled(k, monkeypatch):
+    # B has d = n - m = 4 + 2k > MAX_PART_BITS; its reduction is the
+    # dual of cayley(2,2,2), with rho = 3 <= m - 2, so neither the
+    # verdict nor the dimension needs a search
+    b = _with_splitting_pairs(gale_dual(cayley([segment(2)] * 3)).rows(), k, k)
+    assert (b.n, b.m) == (9 + 2 * k, 5)
+    assert reduce(b).config.n == 9
+    monkeypatch.setattr(discforge.defect, "find_nonsplitting_flag", None)
+    monkeypatch.setattr(discforge.defect, "flag_walk", None)
+    witness = {"kind": "no-nonsplitting-flag", "length": 4}
+    assert is_dual_defect(b) == (True, "flag-search", witness)
+    monkeypatch.setenv(SIZE_BOUND_ENV, str(b.n))
+    assert dual_variety_dim(b) == b.n - 5 - 1 + 3
+    rep = rho_bound(b)
+    assert rep.rho == 3
+    assert rep.parts[3:] == tuple((9 + 2 * t, 10 + 2 * t) for t in range(k))
+
+
 # 7 rows in four line classes: rows 0, 1 parallel, and rows 2, 4, 5 on
 # one line with row 4 antiparallel to the others
 SEVEN_REDUCIBLE_ROWS = [
@@ -250,8 +291,11 @@ def test_dual_dim_size_bound_precedes_enumeration(monkeypatch, twisted_cubic):
     def no_enumeration(*args):
         raise AssertionError("flats enumerated before the size check")
 
-    # the dimension walk reaches the flats only through walk_covers
+    # the dimension walk reaches the flats only through walk_covers; the
+    # two bounds come after the size check too
     monkeypatch.setattr(discforge.matroid, "walk_covers", no_enumeration)
+    monkeypatch.setattr(discforge.defect, "_jacobian_rank", no_enumeration)
+    monkeypatch.setattr(discforge.defect, "_least_partition", no_enumeration)
     monkeypatch.delenv(SIZE_BOUND_ENV, raising=False)
     start = time.perf_counter()
     with pytest.raises(SizeBound, match="n <= 12"):
@@ -314,16 +358,28 @@ def test_size_bound_env(monkeypatch):
             size_bound()
 
 
-def test_dual_dim_errors():
-    with pytest.raises(NotHomogeneous):
-        dual_variety_dim(PointConfiguration([[0, 1, 2]]))
-    with pytest.raises(PyramidInput):
-        dual_variety_dim(
-            PointConfiguration([[1, 1, 1, 0], [0, 1, 2, 0], [0, 0, 0, 1]])
-        )
-    # n = d: the Gale dual is empty
-    with pytest.raises(PyramidInput):
-        dual_variety_dim(PointConfiguration([[1, 0], [0, 1]]))
+def _dim_or_error(cfg):
+    try:
+        return dual_variety_dim(cfg)
+    except DiscforgeError as err:
+        return type(err).__name__, str(err)
+
+
+def test_dual_dim_errors(monkeypatch):
+    # each point configuration is refused as its canonical Gale dual is,
+    # with the same message
+    monkeypatch.delenv(SIZE_BOUND_ENV, raising=False)
+    for rows, error in [
+        ([[0, 1, 2]], "NotHomogeneous"),
+        ([[1, 1, 1, 0], [0, 1, 2, 0], [0, 0, 0, 1]], "PyramidInput"),
+        # n = d: the Gale dual is empty, and so is the rational kernel
+        ([[1, 0], [0, 1]], "PyramidInput"),
+        (cayley([segment(p) for p in (2, 2, 3, 3)]).matrix.data, "SizeBound"),
+    ]:
+        a = PointConfiguration(rows)
+        refusal = _dim_or_error(a)
+        assert refusal[0] == error
+        assert refusal == _dim_or_error(gale_dual(a))
     # a rank-deficient dual, refused after homogeneity and the pyramid
     # check, as in is_dual_defect
     with pytest.raises(DegenerateDual):
@@ -332,6 +388,47 @@ def test_dual_dim_errors():
         dual_variety_dim(GaleConfiguration([[1, 0], [1, 0], [-1, 0]]))
     with pytest.raises(PyramidInput):
         dual_variety_dim(GaleConfiguration([[1, 0], [-1, 0], [0, 0]]))
+
+
+@st.composite
+def point_rows(draw):
+    """A point matrix: distinct points of [0, 3]^2 or [0, 3]^3, mostly
+    homogenized, or the Cayley configuration of 1-D point sets; n <= 14,
+    so pyramids, n = d and inputs over the size bound all occur."""
+    kind = draw(st.sampled_from(["planar", "3d", "cayley"]))
+    if kind == "cayley":
+        sets = draw(
+            st.lists(
+                st.lists(st.integers(0, 4), min_size=1, max_size=4, unique=True),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        cols = [
+            [int(t == i) for t in range(len(sets))] + [x]
+            for i, xs in enumerate(sets)
+            for x in sorted(xs)
+        ]
+        return [list(r) for r in zip(*cols)]
+    dim = 2 if kind == "planar" else 3
+    pts = draw(
+        st.lists(st.tuples(*[st.integers(0, 3)] * dim), min_size=1, max_size=14, unique=True)
+    )
+    rows = [list(c) for c in zip(*pts)]
+    return [[1] * len(pts)] + rows if draw(st.integers(0, 3)) else rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(point_rows())
+def test_the_point_side_front_door_matches_the_gale_dual(rows):
+    # dual_variety_dim on A reads B off one rational nullspace of A; on
+    # the canonical Gale dual it gives the same dimension, or the same
+    # refusal
+    try:
+        a = PointConfiguration(rows)
+    except DiscforgeError:
+        assume(False)
+    assert _dim_or_error(a) == _dim_or_error(gale_dual(a))
 
 
 def test_defect_functions_take_either_side(twisted_cubic, cay222):
@@ -374,13 +471,31 @@ def test_rho_bound_not_sufficient(seven_point_b):
 
 
 def test_rho_bound_at_the_part_cap():
-    # k unit segments give 2^k + 1 zero-sum parts: 129 for k = 7, and
-    # 257 for k = 8, one past MAX_PARTS
-    rep = rho_bound(gale_dual(cayley([segment(1)] * 7)))
-    assert rep.parts == tuple((2 * i, 2 * i + 1) for i in range(7))
-    assert (rep.rho, rep.m, rep.sufficient_defect) == (0, 6, True)
-    with pytest.raises(SizeBound):
-        rho_bound(gale_dual(cayley([segment(1)] * 8)))
+    # k unit segments give 2^k + 1 zero-sum parts of B, 257 for k = 8,
+    # one past MAX_PARTS; but every line class of B is a splitting pair,
+    # so the reduced dual is empty and each pair is a part of cost 0
+    for k in (7, 8):
+        rep = rho_bound(gale_dual(cayley([segment(1)] * k)))
+        assert rep.parts == tuple((2 * i, 2 * i + 1) for i in range(k))
+        assert rep.ranks == (1,) * k
+        assert (rep.rho, rep.m, rep.sufficient_defect) == (0, k - 1, True)
+    # nine zero-sum triples in independent planes: no two rows are
+    # parallel, so the reduced dual is B, with d' = 27 - 18 = 9 bits and
+    # 2^9 - 1 = 511 zero-sum parts, past MAX_PARTS
+    rows = []
+    for t in range(9):
+        for v in ((1, 0), (0, 1), (-1, -1)):
+            row = [0] * 18
+            row[2 * t : 2 * t + 2] = v
+            rows.append(row)
+    assert reduce(GaleConfiguration(rows)).config.n == 27
+    with pytest.raises(SizeBound, match="at most 256 parts"):
+        rho_bound(GaleConfiguration(rows))
+    # 15 pairwise non-parallel rows of rank 2: d' = 13, past MAX_PART_BITS
+    rows = [(1, k) for k in range(14)] + [(-14, -91)]
+    assert reduce(GaleConfiguration(rows)).config.n == 15
+    with pytest.raises(SizeBound, match="n' - rank <= 12"):
+        rho_bound(GaleConfiguration(rows))
 
 
 def test_rho_bound_refuses_a_rank_deficient_dual():

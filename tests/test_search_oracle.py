@@ -40,6 +40,7 @@ from discforge.defect import (
     _complementary_planes,
     _jacobian_rank,
     _lambda0,
+    _least_partition,
     _least_rho,
     _zero_sum_parts,
     dirocco_fixtures,
@@ -109,12 +110,13 @@ def _agree_flags(b: GaleConfiguration) -> None:
 
 def _bounds(b: GaleConfiguration) -> tuple[int, int]:
     """The certificate's (L, U) for B: the Jacobian rank at lam0 less
-    one, and n - m - 1 plus the least rho over zero-sum partitions."""
+    one, and n - m - 1 plus the least rho over zero-sum partitions,
+    which is read off the reduced dual."""
     kernel = rational_nullspace(b.matrix.transpose().data)
-    parts = _zero_sum_parts(kernel, b.n)
-    assert parts is not None
+    least = _least_partition(reduce(b).config)
+    assert least is not None
     low = _jacobian_rank(b, kernel) - 1
-    return low, b.n - b.m - 1 + _least_rho(parts)[(1 << b.n) - 1]
+    return low, b.n - b.m - 1 + least.rho
 
 
 def _agree_jacobian_rank(b: GaleConfiguration) -> None:
@@ -373,6 +375,26 @@ def test_reduced_dimension_walk_matches_unreduced_walk_and_jacobian(rows):
     except DuplicatePoint:
         return
     assert dim == jacobian_dual_dim(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dual_rows())
+# two parallel rows and a splitting pair: rows 0, 1, 2 and 5 are one
+# part of rank 2, rows 3 and 4 another of cost 0
+@example([[1, 0], [2, 0], [0, 1], [1, 1], [-1, -1], [-3, -1]])
+def test_the_least_rho_of_the_reduction_is_the_least_rho_of_b(rows):
+    # rho(B) = rho(reduce(B)), the lemma in ``_least_partition``: the
+    # oracle lists every set partition of B's rows, and the part search
+    # run on B itself gives the same least sum
+    b = GaleConfiguration(rows)
+    assume(b.n <= 8)
+    least = _least_partition(reduce(b).config)
+    assert least is not None
+    assert least.rho == oracle_least_rho(b)
+    parts = _zero_sum_parts(rational_nullspace(zip(*rows)), b.n)
+    assert _least_rho(parts)[(1 << b.n) - 1] == least.rho
+    if b.rank == b.m:
+        _agree_rho(b)
 
 
 @settings(max_examples=100, deadline=None)
