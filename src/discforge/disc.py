@@ -115,23 +115,15 @@ def discriminant_codim1(beta) -> SparsePolynomial:
 # -- Horn map ------------------------------------------------------------
 
 
-def horn_eval(cfg: GaleConfiguration, zeta) -> tuple[Fraction, ...]:
-    """Exact value of the Horn map at a rational parameter point.
+def _horn_pairs(cfg: GaleConfiguration, zeta) -> tuple[tuple[int, int], ...]:
+    """The Horn map at an integer parameter point, each coordinate as a
+    reduced pair (numerator, denominator) with a positive denominator.
 
-    Coordinate k is prod_i (b_i . zeta)^{b_ik}; a vanishing linear factor
-    under a nonzero row puts zeta on the exceptional locus.  The columns
-    of a homogeneous configuration sum to zero, so the map has degree 0
-    in zeta: zeta is scaled by the lcm of its denominators, each linear
-    form is then an integer, and each coordinate is one quotient of the
-    product of its positive powers by the product of its negative ones.
+    Each linear form b_i . zeta is an integer, and coordinate k is the
+    product of its positive powers over the product of its negative
+    ones; a vanishing linear factor under a nonzero row puts zeta on the
+    exceptional locus.
     """
-    if not cfg.is_homogeneous():
-        raise NotHomogeneous("Horn map needs a homogeneous configuration")
-    zeta = [Fraction(z) for z in zeta]
-    if len(zeta) != cfg.m:
-        raise ValueError("parameter arity mismatch")
-    scale = lcm(*(z.denominator for z in zeta))
-    zeta = [z.numerator * (scale // z.denominator) for z in zeta]
     num = [1] * cfg.m
     den = [1] * cfg.m
     for i, row in enumerate(cfg.rows()):
@@ -145,7 +137,29 @@ def horn_eval(cfg: GaleConfiguration, zeta) -> tuple[Fraction, ...]:
                 num[k] *= v**e
             elif e < 0:
                 den[k] *= v**-e
-    return tuple(map(Fraction, num, den))
+    out = []
+    for p, q in zip(num, den):
+        g = gcd(p, q) if q > 0 else -gcd(p, q)
+        out.append((p // g, q // g))
+    return tuple(out)
+
+
+def horn_eval(cfg: GaleConfiguration, zeta) -> tuple[Fraction, ...]:
+    """Exact value of the Horn map at a rational parameter point.
+
+    Coordinate k is prod_i (b_i . zeta)^{b_ik}.  The columns of a
+    homogeneous configuration sum to zero, so the map has degree 0 in
+    zeta: zeta is scaled by the lcm of its denominators, and the integer
+    pairs of ``_horn_pairs`` at that point become Fractions.
+    """
+    if not cfg.is_homogeneous():
+        raise NotHomogeneous("Horn map needs a homogeneous configuration")
+    zeta = [Fraction(z) for z in zeta]
+    if len(zeta) != cfg.m:
+        raise ValueError("parameter arity mismatch")
+    scale = lcm(*(z.denominator for z in zeta))
+    zeta = [z.numerator * (scale // z.denominator) for z in zeta]
+    return tuple(Fraction(p, q) for p, q in _horn_pairs(cfg, zeta))
 
 
 MAX_CURVE_DEGREE = 16
@@ -160,8 +174,11 @@ def horn_implicitize_rank2(cfg: GaleConfiguration) -> SparsePolynomial:
     the kernel of the N = (D+1)(D+2)/2 monomials of degree <= D at
     D^2 + 1 distinct curve points, sampled at t = 1, -1, 2, -2, ...: by
     Bezout every kernel vector contains the irreducible curve, so the
-    kernel must be one-dimensional.  Each sample z_k = p_k / q_k gives an
-    integer row from the powers of p_1, q_1, p_2, q_2: the entry of
+    kernel must be one-dimensional.  The samples come from
+    ``_horn_pairs`` at (t, 1), after one homogeneity check per curve:
+    each coordinate z_k = p_k / q_k is a reduced pair with q_k > 0, so a
+    repeated curve point is a repeated key and is dropped.  Each sample
+    gives an integer row from the powers of p_1, q_1, p_2, q_2: the entry of
     z_1^a z_2^b is p_1^a p_2^b L / (q_1^a q_2^b), with L the lcm of the
     q_1^a q_2^(D-a), so the row is a positive multiple of the rational
     one.  The kernel lies inside the kernel of the first N - 1 sample
@@ -194,20 +211,20 @@ def horn_implicitize_rank2(cfg: GaleConfiguration) -> SparsePolynomial:
         )
     # a nonconstant rational map takes each value finitely often; t runs
     # 1, -1, 2, -2, ... so the samples stay small
-    samples: dict[tuple[Fraction, ...], None] = {}
+    samples: dict[tuple[tuple[int, int], ...], None] = {}
     t = 0
     while len(samples) < deg * deg + 1:
         t = -t if t > 0 else 1 - t
         try:
-            samples[horn_eval(cfg, (t, 1))] = None
+            samples[_horn_pairs(cfg, (t, 1))] = None
         except OnExceptionalLocus:
             pass
     monos = [(a, total - a) for total in range(deg + 1) for a in range(total + 1)]
     rows = []
-    for z1, z2 in samples:
+    for (n1, d1), (n2, d2) in samples:
         p1, q1, p2, q2 = (
             list(accumulate(repeat(x, deg), mul, initial=1))
-            for x in (z1.numerator, z1.denominator, z2.numerator, z2.denominator)
+            for x in (n1, d1, n2, d2)
         )
         scale = lcm(*(q1[a] * q2[deg - a] for a in range(deg + 1)))
         rows.append([p1[a] * p2[b] * (scale // (q1[a] * q2[b])) for a, b in monos])
@@ -299,8 +316,13 @@ def glue_resultant(
     variables; they are normalized first, which changes the result by a
     monomial and a constant only, so the resultant's coefficients are
     polynomials.  The auxiliary scaling u^gamma / u^mu is eliminated by a
-    Sylvester resultant; shifts are chosen minimal so no extraneous factor
-    appears.
+    resultant in u; shifts are chosen minimal so no extraneous factor
+    appears.  The two terms of a binomial d2 differ in u-degree by
+    |betas . mu| = q, the least multiple with q*w in the row span of the
+    first part.  From ``_disc_b`` that part is an inner dual of index 1,
+    whose rows span Z^m, so q = 1: d2 is linear in u and the resultant
+    is a substitution.  A direct call whose first part spans a lattice of
+    index > 1 may get q > 1 and the Sylvester elimination.
     """
     idx1, idx2 = tuple(split[0]), tuple(split[1])
     n = cfg.n

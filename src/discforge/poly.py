@@ -434,14 +434,19 @@ def scaled_substitute(f: SparsePolynomial, gamma) -> UniPoly:
 
 
 def resultant_u(f: UniPoly, g: UniPoly) -> SparsePolynomial:
-    """Sylvester resultant eliminating u.
+    """Resultant eliminating u: the determinant of the Sylvester matrix.
 
-    The coefficients must be polynomials, not Laurent polynomials: the
-    determinant is a fraction-free elimination, and ``exact_quotient``
-    needs non-Laurent operands, so a coefficient with a negative exponent
-    raises ValueError whatever the Sylvester size.  A side of degree 0 in
-    u needs no special case, since the Sylvester matrix is then c*I and
-    its determinant c^d.  Both inputs constant in u raises NoVariable.
+    The coefficients must be polynomials, not Laurent polynomials, and a
+    coefficient with a negative exponent raises ValueError at entry
+    whatever the degrees.  Both inputs constant in u raises NoVariable.
+
+    A side a*u + b of degree 1 in u needs no matrix (Poisson formula):
+    Res(a*u + b, h) = a^dh * h(-b/a) = sum_k h_k * (-b)^k * a^(dh - k),
+    and Res(h, a*u + b) is (-1)^dh times that, so only polynomial
+    products are taken.  Otherwise the determinant comes from a
+    fraction-free elimination of the Sylvester matrix, whose exact
+    divisions need non-Laurent entries; a side of degree 0 needs no
+    special case there, since its block is c*I.
     """
     if f.n != g.n:
         raise ValueError("ambient mismatch")
@@ -453,6 +458,20 @@ def resultant_u(f: UniPoly, g: UniPoly) -> SparsePolynomial:
     df, dg = f.degree(), g.degree()
     if df == 0 and dg == 0:
         raise NoVariable("both resultant arguments are constant in u")
+    if df == 1 or dg == 1:
+        if df == 1:
+            linear, h, flip = f, g, False
+        else:
+            linear, h, flip = g, f, df % 2 == 1
+        a, minus_b = linear.coeffs[1], -linear.coeffs[0]
+        # Horner in (-b, a): acc = sum_{j >= k} h_j (-b)^(j-k) a^(dh-j)
+        acc = h.coeffs[-1]
+        a_power = a
+        for k in range(len(h.coeffs) - 2, -1, -1):
+            acc = acc * minus_b + h.coeffs[k] * a_power
+            if k:
+                a_power = a_power * a
+        return -acc if flip else acc
     size = df + dg
     zero = SparsePolynomial.zero(n)
     rows = []

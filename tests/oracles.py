@@ -39,6 +39,8 @@ Jacobian at the library's fixed point with ``oracle_rref``, where the
 library reads the rank off a smaller block.
 ``oracle_least_rho`` ranks the zero-sum parts of every set partition of
 the rows with ``oracle_rref``, with no part search or cover recursion.
+``oracle_resultant`` expands the Sylvester determinant along its first
+row, with no elimination, no exact division and no substitution formula.
 ``oracle_is_nonsplitting_flag`` checks a witness flag against one
 echelon basis grown up the flag, with every outside row reduced against
 the whole basis at every flat, so that the library's check, which
@@ -62,7 +64,7 @@ from discforge.config import (
 from discforge.errors import NotHomogeneous, OnExceptionalLocus
 from discforge.lattice import IntMatrix, bareiss, echelon_extend, rank
 from discforge.matroid import Flat, closure, flag_walk
-from discforge.poly import SparsePolynomial
+from discforge.poly import SparsePolynomial, UniPoly
 
 MAX_DEGREE = 12
 VERIFY_SAMPLES = 40
@@ -306,6 +308,30 @@ def oracle_horn_curve(rows) -> SparsePolynomial:
     return SparsePolynomial(
         2, {monos[i]: c for i, c in enumerate(coeffs) if c}
     ).normalize()
+
+
+def _laplace_det(rows, n: int) -> SparsePolynomial:
+    if not rows:
+        return SparsePolynomial.constant(n, 1)
+    total = SparsePolynomial.zero(n)
+    for j, entry in enumerate(rows[0]):
+        if entry.is_zero():
+            continue
+        term = entry * _laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]], n)
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def oracle_resultant(f: UniPoly, g: UniPoly) -> SparsePolynomial:
+    """Res_u(f, g) as the determinant of the (df + dg)-square Sylvester
+    matrix (dg shifted rows of f's coefficients, then df of g's, highest
+    power first), expanded by minors along the first row."""
+    df, dg = len(f.coeffs) - 1, len(g.coeffs) - 1
+    zero = SparsePolynomial.zero(f.n)
+    top_f, top_g = list(reversed(f.coeffs)), list(reversed(g.coeffs))
+    rows = [[zero] * i + top_f + [zero] * (dg - 1 - i) for i in range(dg)]
+    rows += [[zero] * i + top_g + [zero] * (df - 1 - i) for i in range(df)]
+    return _laplace_det(rows, f.n)
 
 
 # -- flag and support-chain searches ---------------------------------------

@@ -8,7 +8,8 @@ inner factor is an implicitized curve.  The implicitizer eliminates only
 the first N - 1 sample rows and certifies that kernel on the rest; the
 full interpolation of ``oracles`` must give the same polynomial.  The
 Horn map itself, in integer linear forms, must agree with the plain
-Fraction map of ``oracles``, exceptional locus included.
+Fraction map of ``oracles``, exceptional locus included; so must the
+reduced integer pairs the implicitizer samples.
 """
 
 from fractions import Fraction
@@ -28,7 +29,12 @@ from oracles import (
 import discforge.disc
 from discforge.config import GaleConfiguration, dual_of
 from discforge.defect import is_dual_defect
-from discforge.disc import discriminant, horn_eval, horn_implicitize_rank2
+from discforge.disc import (
+    _horn_pairs,
+    discriminant,
+    horn_eval,
+    horn_implicitize_rank2,
+)
 from discforge.errors import (
     KernelDimensionNotOne,
     NotHomogeneous,
@@ -68,12 +74,14 @@ nonzero = st.integers(-4, 4).filter(bool)
 
 
 @st.composite
-def horn_map_inputs(draw):
-    """m = 1, 2 or 3 columns with entries in [-2, 2], zero rows mixed in,
-    homogeneous in most draws; and a parameter point of Fractions p/q
-    with q of either sign and mostly not 1, so the linear forms often
-    vanish and the denominators differ between coordinates."""
-    m = draw(st.integers(1, 3))
+def horn_map_inputs(draw, m=None):
+    """m = 1, 2 or 3 columns (unless m is given) with entries in [-2, 2],
+    zero rows mixed in, homogeneous in most draws; and a parameter point
+    of Fractions p/q with q of either sign and mostly not 1, so the
+    linear forms often vanish and the denominators differ between
+    coordinates."""
+    if m is None:
+        m = draw(st.integers(1, 3))
     entry = st.integers(-2, 2)
     rows = draw(st.lists(st.tuples(*[entry] * m), min_size=1, max_size=4))
     rows += [(0,) * m] * draw(st.integers(0, 2))
@@ -101,6 +109,29 @@ def _outcome(horn_map, cfg, zeta):
 def test_horn_map_matches_the_fraction_oracle(drawn):
     cfg, zeta = drawn
     assert _outcome(horn_eval, cfg, zeta) == _outcome(oracle_horn_map, cfg, zeta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(horn_map_inputs(m=2), st.integers(-6, 6))
+def test_horn_pairs_are_the_reduced_oracle_values(drawn, t):
+    # the implicitizer dedupes its samples on these pairs: a pair with an
+    # unreduced or negative denominator would count one curve point twice
+    cfg, _ = drawn
+    assume(cfg.is_homogeneous())
+    try:
+        expected = tuple(
+            (z.numerator, z.denominator) for z in oracle_horn_map(cfg, (t, 1))
+        )
+    except OnExceptionalLocus as exc:
+        with pytest.raises(OnExceptionalLocus) as caught:
+            _horn_pairs(cfg, (t, 1))
+        assert str(caught.value) == str(exc)
+        return
+    pairs = _horn_pairs(cfg, (t, 1))
+    for p, q in pairs:
+        assert type(p) is int and type(q) is int
+        assert q > 0 and gcd(p, q) == 1
+    assert pairs == expected
 
 
 @settings(max_examples=25, deadline=None)

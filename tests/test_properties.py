@@ -3,8 +3,11 @@ extend/contract round trips."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from oracles import oracle_resultant
 
 from discforge.config import GaleConfiguration
 from discforge.disc import (
@@ -98,6 +101,45 @@ def test_resultant_sign_symmetry(f, g):
     assume(f.degree() + g.degree() > 0)
     sign = -1 if (f.degree() * g.degree()) % 2 else 1
     assert resultant_u(f, g) == sign * resultant_u(g, f)
+
+
+def unipolys_of_degree(d):
+    return st.tuples(
+        st.lists(coeff_polys, min_size=d, max_size=d), coeff_polys.filter(bool)
+    ).map(lambda t: UniPoly(2, t[0] + [t[1]]))
+
+
+# every pair of u-degrees 0-3 but two constants: a linear f, a linear g,
+# both linear, a constant side, and both >= 2, which alone still take
+# the Sylvester elimination
+RESULTANT_DEGREES = [(df, dg) for df in range(4) for dg in range(4) if df or dg]
+
+
+@pytest.mark.parametrize("df, dg", RESULTANT_DEGREES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_resultant_matches_the_laplace_oracle(df, dg, data):
+    f = data.draw(unipolys_of_degree(df))
+    g = data.draw(unipolys_of_degree(dg))
+    assert resultant_u(f, g) == oracle_resultant(f, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unipolys_of_degree(1), unipolys, st.booleans(), st.data())
+def test_resultant_with_a_linear_side_refuses_laurent_coefficients(
+    linear, other, on_linear, data
+):
+    pair = [linear, other]
+    i = 0 if on_linear else 1
+    coeffs = list(pair[i].coeffs)
+    k = data.draw(st.sampled_from([k for k, c in enumerate(coeffs) if c]))
+    # exponents of coeff_polys are at most 2, so this shift makes each
+    # term of the chosen coefficient Laurent
+    coeffs[k] = coeffs[k].shift((-3, 0))
+    pair[i] = UniPoly(2, coeffs)
+    for f, g in (pair, pair[::-1]):
+        with pytest.raises(ValueError, match="Laurent"):
+            resultant_u(f, g)
 
 
 # -- Horn sample vanishing -----------------------------------------------
